@@ -21,8 +21,6 @@ def _config_echo(args, command):
     return {
         "command": command,
         "tol_scale": args.tol_scale,
-        "threads": args.threads,
-        "seed": args.seed,
         "json": args.json,
     }
 
@@ -192,8 +190,6 @@ def cmd_constants(args):
 def cmd_optimize(args):
     problem_obj = serialize.read_json(args.problem)
     problem = serialize.problem_from_obj(problem_obj)
-    if args.threads > 1:
-        problem.threads = args.threads
     if args.tol_scale != 1.0:
         tol = problem.tolerances
         tol.feas_eps *= args.tol_scale
@@ -217,11 +213,6 @@ def build_parser():
     parser.add_argument("--tol-scale", type=float, default=1.0,
                         dest="tol_scale",
                         help="multiplier applied to solver tolerances")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for data-parallel sections")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized samplers (reserved; the "
-                             "built-in samplers are deterministic)")
     parser.add_argument("--json", action="store_true",
                         help="print machine-readable JSON to stdout")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -11,7 +11,8 @@ import numpy as np
 
 from .cone import CompiledCone, DIAMOND
 from .errors import EmptyPolytope, ExteriorCoordinates, NumericalFailure, UnboundedRegion
-from .lp import (LinearProgram, OPTIMAL, UNBOUNDED, _combinations_array,
+from .lp import (LinearProgram, OPTIMAL, UNBOUNDED, VERTEX_DEDUP_TOL,
+                 _combinations_array, _solve_subsystems,
                  enumerate_primal_vertices, farkas_feasible, feasibility_slack,
                  solve_lp)
 from .normals import NormalSystem
@@ -20,6 +21,10 @@ UNCLASSIFIED = "unclassified"
 EXTERIOR = "exterior"
 BOUNDARY = "boundary"
 INTERIOR = "interior"
+
+# Smallest |det| of a consecutive row pair for which the planar realization
+# certificate holds up under rounding (see _realize_planar).
+_PLANAR_DET_FLOOR = 1e-4
 
 
 def classification_band(b) -> float:
@@ -105,12 +110,112 @@ def canonicalize(b_tilde, ns: NormalSystem) -> CoordinateVector:
 
 
 def realize(b, cone: CompiledCone, *, precomputed_class=None) -> PolytopeRealization:
-    """Vertex enumeration of the polytope behind admissible coordinates."""
+    """Vertex enumeration of the polytope behind admissible coordinates.
+
+    In d = 2 the vertices of a polygon whose facets all have positive length
+    are the N intersections of angle-consecutive lines.  That path is taken
+    when a certificate (see `_realize_planar`) shows the exhaustive
+    enumeration would return the same list; the result is then bitwise
+    equal to it.  Every other input, and every d = 3 input, goes through
+    `enumerate_primal_vertices`.
+    """
     b = np.asarray(b, dtype=float)
     cv = precomputed_class or classify(b, cone)
     if cv.classification == EXTERIOR:
         raise ExteriorCoordinates("coordinates lie outside the cone")
     ns = cone.normal_system
+    if ns.dimension == 2:
+        real = _realize_planar(ns, b)
+        if real is not None:
+            return real
+    return _realize_generic(ns, b)
+
+
+def _planar_cycle(ns: NormalSystem):
+    """Angle-consecutive row pairs of a planar system, cached on `ns`.
+
+    Returns (pairs, facets, det_min, active_sets, facet_vertices): pairs is
+    an (N, 2) index array of (lo, hi) rows sorted the way the generic path
+    sorts active sets, facets the (N, 2) array of the two pairs on each
+    row, det_min the smallest |det| of a pair, and the two tuples the
+    incidence of a realization with exactly these vertices.
+    """
+    cached = ns._cache.get("planar_cycle")
+    if cached is not None:
+        return cached
+    n = ns.count
+    A = ns.matrix
+    # Sort by angle, not by row index: a reflected or permuted system is
+    # not in index order.
+    order = np.argsort(ns.angles(), kind="stable")
+    pairs = np.sort(np.column_stack([order, np.roll(order, -1)]), axis=1)
+    pairs = pairs[np.lexsort(pairs.T[::-1])]
+    owner = np.repeat(np.arange(n), 2)
+    facets = owner[np.lexsort((owner, pairs.ravel()))].reshape(n, 2)
+    m = A[pairs]
+    det_min = float(np.abs(m[:, 0, 0] * m[:, 1, 1]
+                           - m[:, 0, 1] * m[:, 1, 0]).min())
+    pairs.setflags(write=False)
+    facets.setflags(write=False)
+    cached = (pairs, facets, det_min, tuple(map(tuple, pairs.tolist())),
+              tuple(map(tuple, facets.tolist())))
+    ns._cache["planar_cycle"] = cached
+    return cached
+
+
+def _realize_planar(ns: NormalSystem, b):
+    """Consecutive-intersection realization, or None when not certified.
+
+    The vertices v_k are solved by `_solve_subsystems` on the same (lo, hi)
+    row pairs the generic path forms, so they are bitwise equal to its
+    candidates.  The generic path returns exactly these vertices, in this
+    order, with these active sets, when
+
+    1. every consecutive pair has |det| >= `_PLANAR_DET_FLOOR`, far above
+       the generic RANK_TOL;
+    2. every v_k has its own two rows active within half the slack;
+    3. every other row r is slack at v_k by more than tau = 2 max(slack) /
+       min|det|, i.e. a_r . v_k < b_r - tau;
+    4. no two lexsort-adjacent v_k are within VERTEX_DEDUP_TOL.
+
+    Why (3) rules out every other pair (i, j): its intersection y lies on
+    line i, whose part inside both neighbouring rows of i is the segment
+    [v', v] between the two vertices on row i.  Row j is slack by s > tau
+    at both ends, so y is off the segment, past v say, at distance
+    s / |a_j . t_i| >= s.  Past v the other row at v is violated at rate
+    |det| >= min|det|, hence by more than 2 max(slack).  The factor 2 and
+    the det floor absorb the rounding of the computed y: its error is below
+    4 eps / (|det_ij| min|det|) < 0.1 times that violation, as |det_ij| >
+    RANK_TOL.  So the candidate set is {v_k} (each passes the feasibility
+    test by (2)-(3)), (4) means the merge keeps all of them, (2)-(3) fix
+    each active set with margin to spare for the rounding of the activity
+    test, and the final sort by active set is the order of `pairs`.
+    """
+    pairs, facets, det_min, active_sets, facet_vertices = _planar_cycle(ns)
+    if not det_min >= _PLANAR_DET_FLOOR:
+        return None
+    A = ns.matrix
+    vertices, _ = _solve_subsystems(A, b, pairs)
+    slack = feasibility_slack(b)
+    resid = A @ vertices.T - b[:, None]
+    rows = pairs.ravel()
+    cols = np.repeat(np.arange(ns.count), 2)
+    if not (np.abs(resid[rows, cols]) <= 0.5 * slack[rows]).all():
+        return None
+    resid[rows, cols] = -np.inf
+    if not resid.max() < -2.0 * slack.max() / det_min:
+        return None
+    ordered = vertices[np.lexsort(vertices.T[::-1])]
+    if not (np.abs(np.diff(ordered, axis=0)).max(axis=1)
+            > VERTEX_DEDUP_TOL).all():
+        return None
+    real = PolytopeRealization(ns, b, vertices, active_sets, facet_vertices)
+    real._cache["incidence"] = (facets, pairs)
+    return real
+
+
+def _realize_generic(ns: NormalSystem, b) -> PolytopeRealization:
+    """Realization by exhaustive vertex enumeration (any d, any input)."""
     found = enumerate_primal_vertices(ns.matrix, b, assume_bounded=True)
     if not found:
         raise NumericalFailure("admissible coordinates produced no vertices")
@@ -265,7 +370,71 @@ def _endpoint_partner(real, vertex_index, k):
         det = abs(a_k[0] * a_i[1] - a_k[1] * a_i[0])
         if det > best_det:
             best, best_det = i, det
-    return best, best_det
+    return best
+
+
+def _two_point_incidence(real):
+    """(facet_vertices, active_sets) as (N, 2) and (V, 2) index arrays when
+    every facet has two vertices and every vertex two active rows, else
+    None; cached on the realization."""
+    if "incidence" not in real._cache:
+        simple = (all(len(f) == 2 for f in real.facet_vertices)
+                  and all(len(a) == 2 for a in real.active_sets))
+        real._cache["incidence"] = ((np.array(real.facet_vertices),
+                                     np.array(real.active_sets))
+                                    if simple else None)
+    return real._cache["incidence"]
+
+
+def _facet_ends_stacked(real, facets, active, with_gradient):
+    """Lengths and (facet, partner, sign) endpoint rows of a realization
+    whose facets and vertices all have two entries, in the loop's order."""
+    A = real.normals.matrix
+    n = real.normals.count
+    t = np.column_stack([-A[:, 1], A[:, 0]])
+    # A stacked matmul repeats the loop's (2, 2) @ (2,) products bit for
+    # bit; einsum or elementwise products differ in the last bit.
+    proj = (real.vertices[facets] @ t[:, :, None])[:, :, 0]
+    p0, p1 = proj[:, 0], proj[:, 1]
+    lengths = np.maximum(p0, p1) - np.minimum(p0, p1)
+    if not with_gradient:
+        return lengths, None
+    # argmax / argmin over two entries keep the first one on ties.
+    hi = np.where(p1 > p0, facets[:, 1], facets[:, 0])
+    lo = np.where(p1 < p0, facets[:, 1], facets[:, 0])
+    ks = np.repeat(np.arange(n), 2)
+    rows = active[np.column_stack([hi, lo]).ravel()]
+    partners = np.where(rows[:, 0] == ks, rows[:, 1], rows[:, 0])
+    return lengths, (ks, partners, np.tile([1.0, -1.0], n))
+
+
+def _facet_ends_loop(real, with_gradient):
+    """Per-facet version of `_facet_ends_stacked` for any realization."""
+    A = real.normals.matrix
+    lengths = np.zeros(real.normals.count)
+    ks, partners, signs = [], [], []
+    for k in range(real.normals.count):
+        idx = real.facet_vertices[k]
+        if len(idx) < 2:
+            continue
+        proj = real.vertices[list(idx)] @ _facet_tangent(A[k])
+        lengths[k] = float(proj.max() - proj.min())
+        if not with_gradient:
+            continue
+        hi = idx[int(np.argmax(proj))]
+        lo = idx[int(np.argmin(proj))]
+        for vertex_index, sign in ((hi, 1.0), (lo, -1.0)):
+            partner = _endpoint_partner(real, vertex_index, k)
+            if partner is None:
+                raise NumericalFailure(
+                    "degenerate facet endpoint; gradient undefined")
+            ks.append(k)
+            partners.append(partner)
+            signs.append(sign)
+    if not with_gradient:
+        return lengths, None
+    return lengths, (np.array(ks, dtype=np.intp),
+                     np.array(partners, dtype=np.intp), np.array(signs))
 
 
 def facet_lengths_2d(real: PolytopeRealization, *, with_gradient=False):
@@ -273,47 +442,39 @@ def facet_lengths_2d(real: PolytopeRealization, *, with_gradient=False):
 
     The gradient is exact for coordinates whose facets all have two distinct
     endpoints (interior coordinates); endpoint motion follows the inverse of
-    the 2x2 active system at each endpoint.
+    the 2x2 active system at each endpoint.  When every facet has two
+    vertices and every vertex two active rows, as for every interior
+    realization, all facets are handled at once by array operations that
+    reproduce the per-facet loop bit for bit; other realizations take the
+    loop.
     """
     if real.dimension != 2:
         raise ValueError("facet lengths with gradients require d = 2")
-    A = real.normals.matrix
+    incidence = _two_point_incidence(real)
+    if incidence is not None:
+        lengths, ends = _facet_ends_stacked(real, *incidence, with_gradient)
+    else:
+        lengths, ends = _facet_ends_loop(real, with_gradient)
+    if not with_gradient:
+        return lengths
     n = real.normals.count
-    lengths = np.zeros(n)
-    grad = np.zeros((n, n)) if with_gradient else None
-    ks, partners, signs, tangents = [], [], [], []
-    for k in range(n):
-        idx = real.facet_vertices[k]
-        if len(idx) < 2:
-            continue
-        t = _facet_tangent(A[k])
-        proj = real.vertices[list(idx)] @ t
-        lo = idx[int(np.argmin(proj))]
-        hi = idx[int(np.argmax(proj))]
-        lengths[k] = float(proj.max() - proj.min())
-        if not with_gradient:
-            continue
-        for vertex_index, sign in ((hi, 1.0), (lo, -1.0)):
-            partner, det = _endpoint_partner(real, vertex_index, k)
-            if partner is None or det < 1e-12:
-                raise NumericalFailure(
-                    "degenerate facet endpoint; gradient undefined")
-            ks.append(k)
-            partners.append(partner)
-            signs.append(sign)
-            tangents.append(t)
-    if with_gradient and ks:
+    grad = np.zeros((n, n))
+    ks, partners, s_arr = ends
+    if ks.size:
+        A = real.normals.matrix
         ak = A[ks]
         ap = A[partners]
         det = ak[:, 0] * ap[:, 1] - ak[:, 1] * ap[:, 0]
+        if not (np.abs(det) >= 1e-12).all():
+            raise NumericalFailure(
+                "degenerate facet endpoint; gradient undefined")
         # Columns of the inverse of rows [a_k; a_partner].
         col_k = np.column_stack([ap[:, 1], -ap[:, 0]]) / det[:, None]
         col_p = np.column_stack([-ak[:, 1], ak[:, 0]]) / det[:, None]
-        t_arr = np.array(tangents)
-        s_arr = np.array(signs)
+        t_arr = np.column_stack([-ak[:, 1], ak[:, 0]])
         np.add.at(grad, (ks, ks), s_arr * (t_arr * col_k).sum(axis=1))
         np.add.at(grad, (ks, partners), s_arr * (t_arr * col_p).sum(axis=1))
-    return (lengths, grad) if with_gradient else lengths
+    return lengths, grad
 
 
 def ordered_vertices_2d(real: PolytopeRealization) -> np.ndarray:

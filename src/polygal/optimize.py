@@ -235,7 +235,6 @@ class GalerkinProblem:
     kappa_shift: object = None      # None/0, a number, or "estimate"
     report_kappa: bool = True
     kappa_samples: int | None = None
-    threads: int = 1
     tolerances: SolverTolerances = field(default_factory=SolverTolerances)
 
     def __post_init__(self):
@@ -562,20 +561,8 @@ def solve_level(problem: GalerkinProblem, level: int, *, cone=None,
 
     results = []
     iterations = 0
-    if problem.threads > 1 and len(starts) > 1:
-        # Starts are independent; give each its own barrier view (the point
-        # cache is per-instance) and merge deterministically below.
-        from concurrent.futures import ThreadPoolExecutor
-
-        def run_start(b0):
-            view = _BarrierProblem(cone, objective, shifted, lower, upper, tol)
-            return _solve_from_start(view, b0, tol)
-
-        with ThreadPoolExecutor(max_workers=problem.threads) as pool:
-            solved_all = list(pool.map(run_start, starts))
-    else:
-        solved_all = [_solve_from_start(barrier, b0, tol) for b0 in starts]
-    for solved in solved_all:
+    for b0 in starts:
+        solved = _solve_from_start(barrier, b0, tol)
         if solved is None:
             continue
         b, phi, psi, its = solved

@@ -198,20 +198,6 @@ def test_single_level_sequence_equals_solve_level():
     assert via_seq.levels[0].b == pytest.approx(direct.b, abs=1e-9)
 
 
-def test_threaded_multistart_matches_sequential():
-    seq = GalerkinSequence.from_grid(2, [2])
-    problem = GalerkinProblem(
-        objective=ObjectiveSpec("neg_volume"),
-        constraints=[ConstraintSpec("perimeter_le", limit=2 * np.pi)],
-        inner_body=ORIGIN, outer_body=Ball([0, 0], 2.0),
-        sequence=seq, report_kappa=False)
-    sequential = solve_level(problem, 0)
-    problem.threads = 2
-    threaded = solve_level(problem, 0)
-    assert threaded.b == pytest.approx(sequential.b, abs=0)
-    assert threaded.objective_value == sequential.objective_value
-
-
 def test_set_distance(square_cone):
     unit = realize(np.ones(4), square_cone)
     double = realize(2 * np.ones(4), square_cone)

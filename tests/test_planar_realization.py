@@ -1,0 +1,166 @@
+"""The d = 2 realization fast path against the exhaustive generic path.
+
+The fast path must return exactly what the generic enumeration returns, bit
+for bit, whenever it is taken.  It must decline boundary coordinates and
+every input where the enumeration's tolerances make it return something
+other than the N consecutive intersections.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polygal import (canonicalize, compile_cone, realize,
+                     spherical_grid_normals, validate_normals)
+from polygal.coordinates import (_realize_generic, _realize_planar,
+                                 facet_lengths_2d)
+
+from conftest import regular_normals
+
+TRANSFORMS = ("identity", "rotation", "reflection", "permutation")
+
+
+def transformed_grid(level, transform, seed):
+    ns = spherical_grid_normals(2, level)
+    rng = np.random.default_rng(seed)
+    m = ns.matrix
+    if transform == "rotation":
+        theta = rng.uniform(0.0, 2.0 * np.pi)
+        c, s = np.cos(theta), np.sin(theta)
+        m = np.column_stack([c * m[:, 0] - s * m[:, 1],
+                             s * m[:, 0] + c * m[:, 1]])
+    elif transform == "reflection":
+        # Negating x turns increasing angles into decreasing ones.
+        m = m * np.array([-1.0, 1.0])
+    elif transform == "permutation":
+        m = m[rng.permutation(m.shape[0])]
+    return validate_normals(m)
+
+
+@st.composite
+def interior_problems(draw):
+    """A planar grid system and strictly interior coordinates for it: the
+    support values of a disc, each raised by under half the amount that
+    would shrink a facet of the regular polygon to a point."""
+    level = draw(st.integers(2, 5))
+    transform = draw(st.sampled_from(TRANSFORMS))
+    ns = transformed_grid(level, transform, draw(st.integers(0, 2**32 - 1)))
+    n = ns.count
+    center = np.array([draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))])
+    radius = draw(st.floats(0.1, 10.0))
+    rise = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    headroom = 1.0 / np.cos(2.0 * np.pi / n) - 1.0
+    b = ns.matrix @ center + radius * (1.0 + 0.5 * headroom * np.array(rise))
+    return ns, b
+
+
+def loop_facet_lengths(real):
+    """facet_lengths_2d through its per-facet loop."""
+    real._cache["incidence"] = None
+    return facet_lengths_2d(real, with_gradient=True)
+
+
+def assert_same_realization(fast, generic):
+    assert np.array_equal(fast.vertices, generic.vertices)
+    assert fast.active_sets == generic.active_sets
+    assert fast.facet_vertices == generic.facet_vertices
+
+
+@settings(max_examples=80, deadline=None)
+@given(interior_problems())
+def test_planar_path_equals_generic_enumeration(problem):
+    ns, b = problem
+    fast = _realize_planar(ns, b)
+    assert fast is not None
+    generic = _realize_generic(ns, b)
+    assert_same_realization(fast, generic)
+    lengths, grad = facet_lengths_2d(fast, with_gradient=True)
+    assert np.array_equal(lengths, facet_lengths_2d(fast))
+    ref_lengths, ref_grad = loop_facet_lengths(generic)
+    assert np.array_equal(lengths, ref_lengths)
+    assert np.array_equal(grad, ref_grad)
+
+
+def declined(ns, b, cone):
+    assert _realize_planar(ns, b) is None
+    real = realize(b, cone)
+    generic = _realize_generic(ns, b)
+    assert_same_realization(real, generic)
+    assert np.array_equal(facet_lengths_2d(real), facet_lengths_2d(generic))
+    return real
+
+
+def test_zero_length_edge_falls_back():
+    ns = regular_normals(16, offset=0.3)
+    cone = compile_cone(ns)
+    rng = np.random.default_rng(5)
+    b = ns.matrix @ np.array([0.1, -0.2]) + 1.0
+    canon = canonicalize(b + rng.uniform(0.0, 0.5, ns.count), ns).b
+    real = declined(ns, canon, cone)
+    assert max(len(act) for act in real.active_sets) > 2
+
+
+def test_short_facet_apex_falls_back():
+    # Facet 0 is 4e-7 long on a polygon of inradius 100: every consecutive
+    # vertex has exactly its two rows active, yet the apex of lines 15 and 1
+    # lies within the feasibility slack of line 0, so the enumeration
+    # reports it as a seventeenth vertex.  Only the slack certificate on the
+    # non-incident rows catches this.
+    n, r, length = 16, 100.0, 4e-7
+    ns = regular_normals(n, offset=0.2)
+    gap = 2.0 * np.pi / n
+    b = np.full(n, r)
+    b[0] += ((2.0 * r * (1.0 - np.cos(gap)) - length * np.sin(gap))
+             / (2.0 * np.cos(gap)))
+    real = declined(ns, b, compile_cone(ns))
+    assert real.vertex_count == n + 1
+    assert [act for act in real.active_sets if len(act) != 2] == [(0, 1, 15)]
+
+
+def test_far_polygon_with_rounded_activity_falls_back():
+    # Row 2 is perpendicular to the offset, so b_2 stays near 1 and its
+    # slack near 2e-9, while the vertices sit 1e8 from the origin: the
+    # rounding of a_2 . v exceeds that slack and the enumeration finds
+    # row 2 inactive at a vertex on line 2.
+    ns = regular_normals(6, offset=0.3)
+    a = ns.matrix[2]
+    b = ns.matrix @ (1e8 * np.array([-a[1], a[0]])) + 1.0
+    real = declined(ns, b, compile_cone(ns))
+    assert min(len(act) for act in real.active_sets) == 1
+
+
+def test_tiny_polygon_merged_by_enumeration_falls_back(square_ns,
+                                                       square_cone):
+    # A square of side 8e-9: its corners lie within the merge radius of one
+    # another, so the enumeration reports one vertex.
+    real = declined(square_ns, np.full(4, 4e-9), square_cone)
+    assert real.vertex_count == 1
+
+
+def test_nearly_parallel_neighbours_fall_back():
+    # Two consecutive normals 1e-6 apart: |det| is below the floor under
+    # which the certificate no longer covers the rounding.
+    angles = np.array([0.0, 1e-6, 2.0, 4.0])
+    ns = validate_normals(np.column_stack([np.cos(angles), np.sin(angles)]))
+    declined(ns, np.ones(4), compile_cone(ns))
+
+
+def test_square_segment_falls_back(square_ns, square_cone):
+    real = declined(square_ns, np.array([1.0, 1.0, -1.0, 1.0]), square_cone)
+    assert real.vertex_count == 2
+
+
+def test_single_point_falls_back(hexagon_ns, hexagon_cone):
+    b = hexagon_ns.matrix @ np.array([0.3, -0.7])
+    real = declined(hexagon_ns, b, hexagon_cone)
+    assert real.vertex_count == 1
+    assert real.active_sets == (tuple(range(6)),)
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_small_regular_polygons_take_the_planar_path(n):
+    ns = regular_normals(n, offset=0.1)
+    b = np.full(n, 1.5)
+    fast = _realize_planar(ns, b)
+    assert fast is not None
+    assert_same_realization(fast, _realize_generic(ns, b))
