@@ -183,13 +183,6 @@ def body_norm(body: ConvexBody) -> float:
     return body.norm()
 
 
-def norm_bounds(body: ConvexBody, d: int, samples: int = 1024):
-    """(lower, upper) bracket of the body size: sampled support maximum
-    below, the oracle's (over-)estimate above."""
-    dirs = unit_directions(d, samples)
-    return float(body.support_many(dirs).max()), body.norm()
-
-
 @dataclass
 class ProjectionResult:
     coords: CoordinateVector

@@ -7,8 +7,14 @@ cone membership via column . b >= 0, and prunes touching conditions whose
 generator cone strictly contains the cone of another condition.
 
 Enumeration runs over index subsets: supports of dual vertices are linearly
-independent sets, so each subset is checked by one small least-squares solve
-(batched with numpy) and kept when the solution is strictly positive.
+independent sets, so each candidate subset is checked by one small
+least-squares solve (batched with numpy) and kept when the solution is
+strictly positive.  In d >= 3 every subset is a candidate.  In d = 2 only
+the subsets that the signs of cross products admit are (see
+`_planar_diamond_candidates`); the solve and its keep test are the same.
+
+The compiled cone is stored as flat arrays with one entry per column, so
+compiling and pruning create no per-column Python objects.
 """
 
 from dataclasses import dataclass, field
@@ -23,11 +29,21 @@ RESIDUAL_TOL = 1e-9
 WEIGHT_TOL = 1e-9
 INDEP_TOL = 1e-10
 DIAMOND = "diamond"
+# CompiledCone.target of a diamond column.
+DIAMOND_TARGET = -1
 
 # Subset enumeration costs C(N, d) small solves; sizes above these bounds
-# need an explicit override.
-SIZE_GUARDS = {2: 512, 3: 64}
+# need an explicit override.  In d = 2 the bound keeps compile_cone +
+# prune_redundant + classify of a regular system under 2 GB of peak RSS:
+# N = 272 measured 1,877 MiB and N = 273 measured 1,936 MiB (2.03 GB) on
+# Linux x86-64, numpy 2.4.  The dense classify matrix dominates; it holds
+# about N^3 / 24 diamond columns of N floats each.
+SIZE_GUARDS = {2: 272, 3: 64}
 _CHUNK = 200_000
+
+# Sign margin of the d = 2 candidate filter.  It must exceed
+# 4 * RESIDUAL_TOL (see _planar_diamond_candidates); it is 250 times that.
+_SIGN_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,40 +78,72 @@ class CompiledCone:
     Diamond columns are the slice vertices themselves; a touching column for
     vertex p at facet k stores p - e_k.  Pruned columns stay available (the
     membership test over surviving columns is equivalent).
+
+    Column j is stored as target[j] (the facet k, or DIAMOND_TARGET),
+    support[j] and weights[j] (padded to d + 1 entries with -1 and 0) and
+    pruned[j].  `columns` builds ConeColumn objects from these on request.
     """
 
     normal_system: NormalSystem
-    columns: tuple
+    target: np.ndarray
+    support: np.ndarray
+    weights: np.ndarray
+    pruned: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def count(self) -> int:
-        return len(self.columns)
+        return int(self.target.size)
 
     @property
     def diamond_count(self) -> int:
-        return sum(1 for c in self.columns if c.vertex.target == DIAMOND)
+        return int(np.count_nonzero(self.target == DIAMOND_TARGET))
 
     @property
     def touching_count(self) -> int:
-        return sum(1 for c in self.columns if c.vertex.target != DIAMOND)
+        return self.count - self.diamond_count
 
     @property
     def pruned_count(self) -> int:
-        return sum(1 for c in self.columns if c.pruned)
+        return int(np.count_nonzero(self.pruned))
+
+    def vertex(self, j) -> DualVertex:
+        """The dual vertex behind column j."""
+        used = self.support[j] >= 0
+        k = int(self.target[j])
+        return DualVertex(DIAMOND if k == DIAMOND_TARGET else k,
+                          tuple(int(i) for i in self.support[j][used]),
+                          tuple(float(w) for w in self.weights[j][used]))
+
+    def column(self, j) -> ConeColumn:
+        vertex = self.vertex(j)
+        vector = vertex.vector(self.normal_system.count)
+        if vertex.target != DIAMOND:
+            vector[vertex.target] -= 1.0
+        vector.setflags(write=False)
+        return ConeColumn(vector, vertex, bool(self.pruned[j]))
+
+    @property
+    def columns(self) -> tuple:
+        cols = self._cache.get("columns")
+        if cols is None:
+            cols = tuple(self.column(j) for j in range(self.count))
+            self._cache["columns"] = cols
+        return cols
 
     def touching_for(self, k):
-        return tuple(c for c in self.columns if c.vertex.target == k)
+        return tuple(self.column(j) for j in np.flatnonzero(self.target == k))
 
     def column_indices(self, include_pruned=False, touching_only=False):
         key = (include_pruned, touching_only)
         idx = self._cache.get(("idx", key))
         if idx is None:
-            idx = np.array(
-                [i for i, c in enumerate(self.columns)
-                 if (include_pruned or not c.pruned)
-                 and (not touching_only or c.vertex.target != DIAMOND)],
-                dtype=np.intp)
+            mask = np.ones(self.count, dtype=bool)
+            if not include_pruned:
+                mask &= ~self.pruned
+            if touching_only:
+                mask &= self.target != DIAMOND_TARGET
+            idx = np.flatnonzero(mask)
             self._cache[("idx", key)] = idx
         return idx
 
@@ -105,10 +153,15 @@ class CompiledCone:
         mat = self._cache.get(("mat", key))
         if mat is None:
             idx = self.column_indices(include_pruned, touching_only)
-            n = self.normal_system.count
-            mat = np.empty((n, idx.size))
-            for j, i in enumerate(idx):
-                mat[:, j] = self.columns[i].vector
+            mat = np.zeros((self.normal_system.count, idx.size))
+            support = self.support[idx]
+            col = np.broadcast_to(np.arange(idx.size)[:, None], support.shape)
+            used = support >= 0
+            mat[support[used], col[used]] = self.weights[idx][used]
+            target = self.target[idx]
+            touching = target != DIAMOND_TARGET
+            # A touching vertex has p_k = 0, so p - e_k has -1 at k.
+            mat[target[touching], np.flatnonzero(touching)] = -1.0
             mat.setflags(write=False)
             self._cache[("mat", key)] = mat
         return mat
@@ -124,11 +177,9 @@ def _size_guard(ns: NormalSystem, allow_large: bool):
             f"the guard ({limit}); pass allow_large=True to override")
 
 
-def _positive_combinations(cols, rhs, pool, sizes):
-    """Supports S (subsets of `pool`, |S| in `sizes`) with independent
-    columns cols[:, S] and a strictly positive solution of
-    cols[:, S] w = rhs.  Yields (support tuple, weights tuple)."""
-    found = []
+def _all_subsets(pool, sizes):
+    """Every subset of `pool` with a size in `sizes`, as chunks of index
+    rows in ascending order."""
     pool = np.asarray(pool, dtype=np.intp)
     for size in sizes:
         if size < 1 or size > pool.size:
@@ -138,23 +189,144 @@ def _positive_combinations(cols, rhs, pool, sizes):
             block = list(itertools.islice(combo_iter, _CHUNK))
             if not block:
                 break
-            local = np.array(block, dtype=np.intp)
-            combos = pool[local]
-            E = cols.T[combos].transpose(0, 2, 1)  # (P, m, size)
-            U, S, Vt = np.linalg.svd(E, full_matrices=False)
-            ok = S[:, -1] > INDEP_TOL
-            if not ok.any():
-                continue
-            U, S, Vt, combos, E = U[ok], S[ok], Vt[ok], combos[ok], E[ok]
-            t = np.einsum("pms,m->ps", U, rhs) / S
-            w = np.einsum("psk,ps->pk", Vt, t)
-            resid = np.abs(np.einsum("pms,ps->pm", E, w) - rhs).max(axis=1)
-            keep = (resid <= RESIDUAL_TOL) & (w > WEIGHT_TOL).all(axis=1)
-            for c, ww in zip(combos[keep], w[keep]):
-                found.append((tuple(int(i) for i in c),
-                              tuple(float(x) for x in ww)))
-    found.sort(key=lambda item: item[0])
-    return found
+            yield pool[np.array(block, dtype=np.intp)]
+
+
+def _solve_candidates(cols, rhs, combos):
+    """The rows S of `combos` with independent columns cols[:, S] and a
+    strictly positive solution of cols[:, S] w = rhs, with their w."""
+    E = cols.T[combos].transpose(0, 2, 1)  # (P, m, size)
+    U, S, Vt = np.linalg.svd(E, full_matrices=False)
+    ok = S[:, -1] > INDEP_TOL
+    U, S, Vt, combos, E = U[ok], S[ok], Vt[ok], combos[ok], E[ok]
+    t = np.einsum("pms,m->ps", U, rhs) / S
+    w = np.einsum("psk,ps->pk", Vt, t)
+    resid = np.abs(np.einsum("pms,ps->pm", E, w) - rhs).max(axis=1)
+    keep = (resid <= RESIDUAL_TOL) & (w > WEIGHT_TOL).all(axis=1)
+    return combos[keep], w[keep]
+
+
+def _positive_combinations(cols, rhs, candidates, width):
+    """Supports among the `candidates` chunks (index rows, ascending) with
+    independent columns cols[:, S] and a strictly positive solution of
+    cols[:, S] w = rhs.  Returns (supports, weights) padded to `width`
+    entries with -1 and 0, in lexicographic order of the supports."""
+    supports = [np.empty((0, width), dtype=np.intp)]
+    weights = [np.empty((0, width))]
+    for chunk in candidates:
+        for start in range(0, len(chunk), _CHUNK):
+            combos, w = _solve_candidates(cols, rhs,
+                                          chunk[start:start + _CHUNK])
+            pad = width - combos.shape[1]
+            supports.append(np.pad(combos, ((0, 0), (0, pad)),
+                                   constant_values=-1))
+            weights.append(np.pad(w, ((0, 0), (0, pad))))
+    supports = np.concatenate(supports)
+    weights = np.concatenate(weights)
+    # Padding with -1 sorts a support before every longer one it prefixes,
+    # as tuple comparison does.
+    order = np.lexsort(supports.T[::-1])
+    return supports[order], weights[order]
+
+
+def _planar_cross(ns: NormalSystem):
+    """cross[i, j] = a_i x a_j and dot[i, j] = a_i . a_j."""
+    a = ns.matrix
+    cross = np.outer(a[:, 0], a[:, 1]) - np.outer(a[:, 1], a[:, 0])
+    return cross, a @ a.T
+
+
+def _admitted(x, y, z):
+    """False where two of the values have opposite signs beyond the margin."""
+    hi = np.maximum(np.maximum(x, y), z)
+    lo = np.minimum(np.minimum(x, y), z)
+    return (hi <= _SIGN_MARGIN) | (lo >= -_SIGN_MARGIN)
+
+
+def _planar_diamond_candidates(ns: NormalSystem):
+    """d = 2 diamond candidates: every subset _solve_candidates could keep.
+
+    Write c_ij = a_i x a_j.  A kept subset has w > 0 with
+    |sum w_l a_l|_inf <= RESIDUAL_TOL and sum w_l >= 1 - RESIDUAL_TOL.
+    Crossing sum w_l a_l with a unit a_i moves it by at most
+    delta = 2 * RESIDUAL_TOL, so:
+
+    - a kept pair has w_j |c_ij| <= delta and w_i |c_ij| <= delta, hence
+      |c_ij| <= 2 delta; and |w_i a_i + w_j a_j| ~ 0 forces a_i . a_j < 0;
+    - a kept triple has w_k c_jk ~ w_i c_ij, w_j c_ij ~ w_k c_ki and
+      w_i c_ki ~ w_j c_jk within delta.  If two of c_ij, c_jk, c_ki had
+      opposite signs beyond a margin tau, two of these relations would
+      bound w_i + w_j + w_k by 2 delta / tau, whatever the sign of the third
+      value: below 1 for tau > 4 * RESIDUAL_TOL.
+
+    So pairs are near-antipodal and triples have barycentric determinants
+    of one sign, up to _SIGN_MARGIN.
+    """
+    cross, dot = _planar_cross(ns)
+    i, j = np.triu_indices(ns.count, 1)
+    c_ij = cross[i, j]
+    yield np.column_stack([i, j])[(dot[i, j] < 0)
+                                  & (np.abs(c_ij) <= _SIGN_MARGIN)]
+    triples = []
+    for first in range(ns.count - 2):
+        # Pairs (j, k) with first < j < k: a suffix of the triu order.
+        rest = slice(np.searchsorted(i, first + 1), None)
+        jj, kk = i[rest], j[rest]
+        ok = _admitted(cross[first, jj], c_ij[rest], cross[kk, first])
+        triples.append(np.column_stack(
+            [np.full(np.count_nonzero(ok), first), jj[ok], kk[ok]]))
+    if triples:
+        yield np.concatenate(triples)
+
+
+def _planar_touching_candidates(ns: NormalSystem, k: int):
+    """d = 2 touching candidates at facet k: every subset _solve_candidates
+    could keep for A^T p = a_k.
+
+    A kept single a_i has |w a_i - a_k|_inf <= RESIDUAL_TOL with w > 0, so
+    it is parallel to a_k: |c_ik| <= delta and a_i . a_k > 0.  A kept pair
+    i < j has w_j c_ij ~ c_ik, w_i c_ij ~ c_kj and w_i c_ik ~ w_j c_kj within
+    delta = 2 * RESIDUAL_TOL, and w_i + w_j >= 1 - RESIDUAL_TOL; as for the
+    diamond triples, no two of c_ik, c_kj, c_ij can then have opposite signs
+    beyond the margin.  So the pairs straddle a_k within a half-turn.
+    """
+    cross, dot = _planar_cross(ns)
+    others = np.delete(np.arange(ns.count), k)
+    yield others[(dot[others, k] > 0)
+                 & (np.abs(cross[others, k]) <= _SIGN_MARGIN)][:, None]
+    i, j = np.triu_indices(ns.count, 1)
+    ok = ((i != k) & (j != k)
+          & _admitted(cross[i, k], cross[k, j], cross[i, j]))
+    yield np.column_stack([i[ok], j[ok]])
+
+
+def _diamond_arrays(ns: NormalSystem, exhaustive=False):
+    cols = np.vstack([ns.matrix.T, np.ones((1, ns.count))])
+    rhs = np.zeros(ns.dimension + 1)
+    rhs[-1] = 1.0
+    if ns.dimension == 2 and not exhaustive:
+        candidates = _planar_diamond_candidates(ns)
+    else:
+        candidates = _all_subsets(np.arange(ns.count),
+                                  range(2, ns.dimension + 2))
+    return _positive_combinations(cols, rhs, candidates, ns.dimension + 1)
+
+
+def _touching_arrays(ns: NormalSystem, k: int, exhaustive=False):
+    # Every such vertex has p_k = 0, so index k is excluded from the pool.
+    if ns.dimension == 2 and not exhaustive:
+        candidates = _planar_touching_candidates(ns, k)
+    else:
+        candidates = _all_subsets(np.delete(np.arange(ns.count), k),
+                                  range(1, ns.dimension + 1))
+    return _positive_combinations(ns.matrix.T, ns.matrix[k], candidates,
+                                  ns.dimension + 1)
+
+
+def _vertices(target, supports, weights):
+    return [DualVertex(target, tuple(int(i) for i in s[s >= 0]),
+                       tuple(float(x) for x in w[s >= 0]))
+            for s, w in zip(supports, weights)]
 
 
 def extreme_points_diamond(ns: NormalSystem, *, allow_large=False):
@@ -164,24 +336,13 @@ def extreme_points_diamond(ns: NormalSystem, *, allow_large=False):
     independent, hence of size at most d+1.
     """
     _size_guard(ns, allow_large)
-    cols = np.vstack([ns.matrix.T, np.ones((1, ns.count))])
-    rhs = np.zeros(ns.dimension + 1)
-    rhs[-1] = 1.0
-    reps = _positive_combinations(cols, rhs, np.arange(ns.count),
-                                  range(2, ns.dimension + 2))
-    return [DualVertex(DIAMOND, s, w) for s, w in reps]
+    return _vertices(DIAMOND, *_diamond_arrays(ns))
 
 
 def extreme_points_touching(ns: NormalSystem, k: int, *, allow_large=False):
-    """Extreme points of {p >= 0 : A^T p = a_k} other than e_k.
-
-    Every such vertex has p_k = 0, so index k is excluded from the pool.
-    """
+    """Extreme points of {p >= 0 : A^T p = a_k} other than e_k."""
     _size_guard(ns, allow_large)
-    pool = np.array([i for i in range(ns.count) if i != k], dtype=np.intp)
-    reps = _positive_combinations(ns.matrix.T, ns.matrix[k], pool,
-                                  range(1, ns.dimension + 1))
-    return [DualVertex(int(k), s, w) for s, w in reps]
+    return _vertices(int(k), *_touching_arrays(ns, k))
 
 
 def dual_vertices_for_direction(ns: NormalSystem, c, *, pool=None,
@@ -192,24 +353,26 @@ def dual_vertices_for_direction(ns: NormalSystem, c, *, pool=None,
     if pool is None:
         pool = np.arange(ns.count)
     c = np.asarray(c, dtype=float)
-    reps = _positive_combinations(ns.matrix.T, c, pool,
-                                  range(1, ns.dimension + 1))
-    return [DualVertex(None, s, w) for s, w in reps]
+    supports, weights = _positive_combinations(
+        ns.matrix.T, c, _all_subsets(pool, range(1, ns.dimension + 1)),
+        ns.dimension)
+    return _vertices(None, supports, weights)
 
 
-def diamond_remark_holds(ns: NormalSystem, vertex: DualVertex) -> bool:
-    """For each i0 in the support, the remaining normals must stay linearly
-    independent (equivalent vertex characterization of the slice)."""
-    support = list(vertex.support)
-    for i0 in support:
-        rest = [i for i in support if i != i0]
-        if not rest:
-            continue
-        sub = ns.matrix[rest]
-        rank = np.linalg.matrix_rank(sub, tol=INDEP_TOL)
-        if rank < len(rest):
-            return False
-    return True
+def _compile(ns: NormalSystem, exhaustive=False) -> CompiledCone:
+    """compile_cone without the guards; `exhaustive` makes d = 2 run the
+    all-subsets enumeration, which tests use as the oracle."""
+    parts = [(DIAMOND_TARGET, *_diamond_arrays(ns, exhaustive))]
+    parts += [(k, *_touching_arrays(ns, k, exhaustive))
+              for k in range(ns.count)]
+    target = np.concatenate([np.full(len(s), k, dtype=np.intp)
+                             for k, s, _ in parts])
+    supports = np.concatenate([s for _, s, _ in parts])
+    weights = np.concatenate([w for _, _, w in parts])
+    for arr in (target, supports, weights):
+        arr.setflags(write=False)
+    return CompiledCone(ns, target, supports, weights,
+                        np.zeros(target.size, dtype=bool))
 
 
 def compile_cone(ns: NormalSystem, *, allow_large=False) -> CompiledCone:
@@ -222,89 +385,68 @@ def compile_cone(ns: NormalSystem, *, allow_large=False) -> CompiledCone:
     _size_guard(ns, allow_large)
     if not check_bounded(ns):
         raise UnboundedSpace("normal system spans unbounded polyhedra")
-    n = ns.count
-    columns = []
-    for vertex in extreme_points_diamond(ns, allow_large=allow_large):
-        columns.append(ConeColumn(vertex.vector(n), vertex))
-    for k in range(n):
-        for vertex in extreme_points_touching(ns, k, allow_large=allow_large):
-            vec = vertex.vector(n)
-            vec[k] -= 1.0
-            columns.append(ConeColumn(vec, vertex))
-    for col in columns:
-        if np.abs(col.vector).max() <= WEIGHT_TOL:
-            raise UnboundedSpace("zero membership column; inconsistent system")
-        col.vector.setflags(write=False)
-    return CompiledCone(ns, tuple(columns))
+    return _compile(ns)
 
 
-def _cone_contains(ns: NormalSystem, small: DualVertex, big: DualVertex) -> bool:
-    """Whether every generator of cone({a_i : i in small.support}) is a
-    nonnegative combination over big.support."""
-    gens = ns.matrix[list(big.support)].T  # (d, s), independent columns
-    pinv = np.linalg.pinv(gens)
-    for i in small.support:
-        lam = pinv @ ns.matrix[i]
-        if (lam < -INDEP_TOL).any():
-            return False
-        if np.abs(gens @ lam - ns.matrix[i]).max() > RESIDUAL_TOL:
-            return False
-    return True
-
-
-def _prune_group_generic(ns, vertices):
-    """Indices (within the group) of vertices whose cone strictly contains
+def _prune_group_generic(ns, supports):
+    """Indices (within the group) of supports whose cone strictly contains
     another group member's cone.
 
-    Each vertex gets a representability mask over all normals (one
+    Each support gets a representability mask over all normals (one
     pseudoinverse solve against the whole matrix), so a containment test is
     a mask lookup on the candidate's support.
     """
-    representable = []
-    for vertex in vertices:
-        gens = ns.matrix[list(vertex.support)].T
+    rows = [s[s >= 0] for s in supports]
+    representable = np.empty((len(rows), ns.count), dtype=bool)
+    for j, s in enumerate(rows):
+        gens = ns.matrix[s].T
         lam = np.linalg.pinv(gens) @ ns.matrix.T          # (s, N)
         resid = np.abs(gens @ lam - ns.matrix.T).max(axis=0)
-        representable.append((resid <= RESIDUAL_TOL) &
-                             (lam >= -INDEP_TOL).all(axis=0))
-    pruned = set()
-    supports = [set(v.support) for v in vertices]
-    for i_small in range(len(vertices)):
-        small = list(vertices[i_small].support)
-        for i_big in range(len(vertices)):
-            if i_big == i_small or i_big in pruned:
-                continue
-            if supports[i_small] == supports[i_big]:
-                continue
-            if representable[i_big][small].all():
-                pruned.add(i_big)
-    return pruned
+        representable[j] = ((resid <= RESIDUAL_TOL) &
+                            (lam >= -INDEP_TOL).all(axis=0))
+    # contains[i_big, i_small]: big's cone holds every generator of small's.
+    contains = np.array([representable[:, s].all(axis=1) for s in rows]).T
+    key = np.sort(supports, axis=1)
+    same = (key[:, None, :] == key[None, :, :]).all(axis=2)
+    return np.flatnonzero((contains & ~same).any(axis=1))
 
 
-def _prune_group_planar(ns, k, vertices):
+def _contains_smaller(x, y, tol):
+    """Mask over j: some i has x_i < x_j - tol and y_i <= y_j + tol.
+
+    The i with x_i < x_j - tol are a prefix of the order by x, so the test
+    is a prefix minimum of y.  It uses the same float comparisons as the
+    all-pairs test."""
+    order = np.argsort(x, kind="stable")
+    prefix_min = np.minimum.accumulate(y[order])
+    count = np.searchsorted(x[order], x - tol, side="left")
+    hit = count > 0
+    out = np.zeros(x.size, dtype=bool)
+    out[hit] = prefix_min[count[hit] - 1] <= y[hit] + tol
+    return out
+
+
+def _prune_group_planar(ns, k, supports):
     """d = 2 fast path: a planar touching cone is the angular interval
     spanned by its two support normals around a_k, so containment is
-    interval containment."""
+    interval containment.  Returns None for any other support structure.
+
+    Interval j is pruned when some interval i lies inside it within 1e-12
+    and is shorter beyond 1e-12 at one end.  That holds exactly when i is
+    shorter beyond the tolerance at one end and not longer beyond it at the
+    other, which is one `_contains_smaller` test per end."""
+    if (supports[:, 2:] >= 0).any() or (supports[:, :2] < 0).any():
+        return None
     theta = np.arctan2(ns.matrix[:, 1], ns.matrix[:, 0])
-    left = np.empty(len(vertices))
-    right = np.empty(len(vertices))
-    for j, vertex in enumerate(vertices):
-        gaps = []
-        for i in vertex.support:
-            delta = np.mod(theta[i] - theta[k] + np.pi, 2 * np.pi) - np.pi
-            gaps.append(delta)
-        gaps.sort()
-        if len(gaps) != 2 or not (gaps[0] < 0 < gaps[1]):
-            # Unexpected support structure; fall back to the generic test.
-            return None
-        right[j], left[j] = -gaps[0], gaps[1]
+    gaps = np.sort(np.mod(theta[supports[:, :2]] - theta[k] + np.pi,
+                          2 * np.pi) - np.pi, axis=1)
+    if not ((gaps[:, 0] < 0) & (0 < gaps[:, 1])).all():
+        return None
+    right, left = -gaps[:, 0], gaps[:, 1]
     tol = 1e-12
-    inside = (left[:, None] <= left[None, :] + tol) & \
-             (right[:, None] <= right[None, :] + tol)
-    strict = (left[:, None] < left[None, :] - tol) | \
-             (right[:, None] < right[None, :] - tol)
-    witness = inside & strict
-    return set(np.nonzero(witness.any(axis=0))[0])
+    witness = (_contains_smaller(left, right, tol)
+               | _contains_smaller(right, left, tol))
+    return np.flatnonzero(witness)
 
 
 def prune_redundant(cone: CompiledCone) -> CompiledCone:
@@ -318,22 +460,19 @@ def prune_redundant(cone: CompiledCone) -> CompiledCone:
     system; it may still contain redundancies of other kinds.
     """
     ns = cone.normal_system
-    by_target = {}
-    for idx, col in enumerate(cone.columns):
-        if col.vertex.target != DIAMOND:
-            by_target.setdefault(col.vertex.target, []).append(idx)
-
-    pruned = set()
-    for k, indices in by_target.items():
-        vertices = [cone.columns[i].vertex for i in indices]
+    touching = np.flatnonzero(cone.target != DIAMOND_TARGET)
+    touching = touching[np.argsort(cone.target[touching], kind="stable")]
+    starts = np.flatnonzero(np.diff(cone.target[touching])) + 1
+    pruned = cone.pruned.copy()
+    for group in np.split(touching, starts):
+        if group.size == 0:
+            continue
+        supports = cone.support[group]
         local = None
         if ns.dimension == 2:
-            local = _prune_group_planar(ns, k, vertices)
+            local = _prune_group_planar(ns, cone.target[group[0]], supports)
         if local is None:
-            local = _prune_group_generic(ns, vertices)
-        pruned.update(indices[j] for j in local)
-
-    columns = tuple(
-        ConeColumn(col.vector, col.vertex, pruned=(i in pruned) or col.pruned)
-        for i, col in enumerate(cone.columns))
-    return CompiledCone(ns, columns)
+            local = _prune_group_generic(ns, supports)
+        pruned[group[local]] = True
+    pruned.setflags(write=False)
+    return CompiledCone(ns, cone.target, cone.support, cone.weights, pruned)

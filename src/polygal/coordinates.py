@@ -341,7 +341,7 @@ def diagnose_boundary(b, cone: CompiledCone) -> DegeneracyReport:
     flat_witnesses = []
     facet_witnesses = {}
     for i in cv.active_columns:
-        vertex = cone.columns[i].vertex
+        vertex = cone.vertex(i)
         if vertex.target == DIAMOND:
             flat_witnesses.append(vertex)
         else:

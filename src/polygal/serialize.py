@@ -12,7 +12,7 @@ import numpy as np
 
 from .bodies import (Ball, ConvexBody, HalfspacePolytope, MinkowskiSum,
                      PointHull, Scaled)
-from .cone import CompiledCone, ConeColumn, DIAMOND, DualVertex
+from .cone import CompiledCone, DIAMOND, DIAMOND_TARGET
 from .coordinates import PolytopeRealization
 from .normals import NormalSystem, validate_normals
 from .optimize import (ConstraintSpec, GalerkinProblem, ObjectiveSpec,
@@ -125,19 +125,34 @@ def cone_to_obj(cone: CompiledCone) -> dict:
 def cone_from_obj(obj) -> CompiledCone:
     _check_version(obj, "cone")
     ns = normals_from_obj(obj["normals"])
-    columns = []
-    for entry in obj["columns"]:
-        target = entry["target"]
-        target = DIAMOND if target == DIAMOND else int(target["touching"])
-        vertex = DualVertex(target,
-                            tuple(int(i) for i in entry["support"]),
-                            tuple(float(w) for w in entry["weights"]))
+    entries = obj["columns"]
+    width = ns.dimension + 1
+    target = np.empty(len(entries), dtype=np.intp)
+    support = np.full((len(entries), width), -1, dtype=np.intp)
+    weights = np.zeros((len(entries), width))
+    pruned = np.zeros(len(entries), dtype=bool)
+    vectors = []
+    for j, entry in enumerate(entries):
+        t = entry["target"]
+        target[j] = DIAMOND_TARGET if t == DIAMOND else int(t["touching"])
+        s = [int(i) for i in entry["support"]]
+        w = [float(x) for x in entry["weights"]]
+        if (len(s) != len(w) or len(s) > width
+                or not all(0 <= i < ns.count for i in s)
+                or not (t == DIAMOND or 0 <= target[j] < ns.count)):
+            raise ValueError("cone: bad target, support or weights")
+        support[j, :len(s)] = s
+        weights[j, :len(w)] = w
+        pruned[j] = bool(entry["pruned"])
         vector = np.asarray(entry["vector"], dtype=float)
         if vector.shape != (ns.count,):
             raise ValueError("cone: column length does not match normals")
-        vector.setflags(write=False)
-        columns.append(ConeColumn(vector, vertex, bool(entry["pruned"])))
-    return CompiledCone(ns, tuple(columns))
+        vectors.append(vector)
+    cone = CompiledCone(ns, target, support, weights, pruned)
+    dense = np.array(vectors).reshape(len(entries), ns.count).T
+    if not np.array_equal(cone.matrix(include_pruned=True), dense):
+        raise ValueError("cone: column vectors do not match their supports")
+    return cone
 
 
 # -- b.json ------------------------------------------------------------------

@@ -6,9 +6,38 @@ from polygal import (BadDimension, DuplicateRow, LinearProgram, UnboundedSpace,
                      dual_vertices_for_direction, extreme_points_diamond,
                      extreme_points_touching, prune_redundant, solve_lp,
                      validate_normals)
-from polygal.cone import diamond_remark_holds
+from polygal.cone import INDEP_TOL, RESIDUAL_TOL
 
 from conftest import regular_normals
+
+
+def diamond_remark_holds(ns, vertex) -> bool:
+    """For each i0 in the support, the remaining normals must stay linearly
+    independent (equivalent vertex characterization of the slice)."""
+    support = list(vertex.support)
+    for i0 in support:
+        rest = [i for i in support if i != i0]
+        if not rest:
+            continue
+        sub = ns.matrix[rest]
+        rank = np.linalg.matrix_rank(sub, tol=INDEP_TOL)
+        if rank < len(rest):
+            return False
+    return True
+
+
+def cone_contains(ns, small, big) -> bool:
+    """Whether every generator of cone({a_i : i in small.support}) is a
+    nonnegative combination over big.support."""
+    gens = ns.matrix[list(big.support)].T  # (d, s), independent columns
+    pinv = np.linalg.pinv(gens)
+    for i in small.support:
+        lam = pinv @ ns.matrix[i]
+        if (lam < -INDEP_TOL).any():
+            return False
+        if np.abs(gens @ lam - ns.matrix[i]).max() > RESIDUAL_TOL:
+            return False
+    return True
 
 
 def test_validate_accepts_axes(square_ns):
@@ -147,6 +176,21 @@ def test_size_guard():
         extreme_points_diamond(big)
 
 
+def test_planar_size_guard_refuses_before_enumerating(monkeypatch):
+    import polygal.cone as cone_module
+
+    def started(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(cone_module, "check_bounded", started)
+    monkeypatch.setattr(cone_module, "_solve_candidates", started)
+    ns = regular_normals(cone_module.SIZE_GUARDS[2] + 1)
+    with pytest.raises(ValueError):
+        compile_cone(ns)
+    with pytest.raises(ValueError):
+        extreme_points_touching(ns, 0)
+
+
 def test_octagon_pruning(octagon_cone):
     pruned = prune_redundant(octagon_cone)
     for k in range(8):
@@ -172,7 +216,6 @@ def test_equally_spaced_prune_to_adjacent_pairs(n):
 
 
 def test_planar_prune_agrees_with_generic_containment(octagon_cone):
-    from polygal.cone import _cone_contains
     pruned = prune_redundant(octagon_cone)
     ns = octagon_cone.normal_system
     for k in range(8):
@@ -181,7 +224,7 @@ def test_planar_prune_agrees_with_generic_containment(octagon_cone):
             if not big.pruned:
                 continue
             assert any(
-                _cone_contains(ns, small.vertex, big.vertex)
+                cone_contains(ns, small.vertex, big.vertex)
                 for small in cols
                 if set(small.vertex.support) != set(big.vertex.support))
 

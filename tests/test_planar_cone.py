@@ -1,0 +1,146 @@
+"""The d = 2 cone compile against the exhaustive all-subsets enumeration.
+
+In d = 2 the compile passes the SVD kernel only the subsets that the signs
+of cross products admit, and the prune finds contained intervals with a
+prefix minimum.  Both must reproduce, bit for bit, the enumeration over all
+subsets and the pairwise interval test.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from polygal import (DuplicateRow, UnboundedSpace, check_bounded,
+                     compile_cone, prune_redundant, validate_normals)
+from polygal.cone import _compile, _contains_smaller, _prune_group_generic
+
+from conftest import TRANSFORMS, regular_normals, transformed_grid
+
+
+def pairwise_prune(cone):
+    """Pruned flags from the all-pairs planar interval containment, with the
+    generic test for any facet whose supports are not straddling pairs."""
+    ns = cone.normal_system
+    theta = np.arctan2(ns.matrix[:, 1], ns.matrix[:, 0])
+    pruned = cone.pruned.copy()
+    for k in range(ns.count):
+        group = np.flatnonzero(cone.target == k)
+        left = np.empty(group.size)
+        right = np.empty(group.size)
+        planar = True
+        for j, col in enumerate(group):
+            gaps = sorted(
+                np.mod(theta[i] - theta[k] + np.pi, 2 * np.pi) - np.pi
+                for i in cone.support[col] if i >= 0)
+            if len(gaps) != 2 or not (gaps[0] < 0 < gaps[1]):
+                planar = False
+                break
+            right[j], left[j] = -gaps[0], gaps[1]
+        if not planar:
+            local = _prune_group_generic(ns, cone.support[group])
+        else:
+            local = np.nonzero(pairwise_witness(left, right))[0]
+        pruned[group[local]] = True
+    return pruned
+
+
+def pairwise_witness(left, right, tol=1e-12):
+    """Mask over j: some interval i lies inside j within tol and is shorter
+    than j beyond tol at one end."""
+    inside = (left[:, None] <= left[None, :] + tol) & \
+             (right[:, None] <= right[None, :] + tol)
+    strict = (left[:, None] < left[None, :] - tol) | \
+             (right[:, None] < right[None, :] - tol)
+    return (inside & strict).any(axis=0)
+
+
+def assert_matches_oracle(ns):
+    fast = prune_redundant(_compile(ns))
+    oracle = _compile(ns, exhaustive=True)
+    assert fast.target.tobytes() == oracle.target.tobytes()
+    assert fast.support.tobytes() == oracle.support.tobytes()
+    assert fast.weights.tobytes() == oracle.weights.tobytes()
+    assert np.array_equal(fast.pruned, pairwise_prune(oracle))
+    oracle = prune_redundant(oracle)
+    for touching_only in (False, True):
+        assert (fast.matrix(touching_only=touching_only).tobytes()
+                == oracle.matrix(touching_only=touching_only).tobytes())
+    return fast
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 48), st.floats(0.0, 2.0 * np.pi))
+def test_regular_polygons_match_exhaustive_compile(n, offset):
+    assert_matches_oracle(regular_normals(n, offset))
+
+
+@settings(max_examples=16, deadline=None)
+@given(st.integers(2, 5), st.sampled_from(TRANSFORMS),
+       st.integers(0, 2**32 - 1))
+def test_grid_levels_match_exhaustive_compile(level, transform, seed):
+    assert_matches_oracle(transformed_grid(level, transform, seed))
+
+
+@st.composite
+def irregular_systems(draw):
+    """Random angles plus the near-degenerate configurations the sign
+    filter's margin must cover: a two-gap window (three rows whose outer two
+    lie at or within 1e-9 of pi apart), exact antipodal pairs and neighbours
+    1e-7 rad apart."""
+    angle = st.floats(0.0, 2.0 * np.pi)
+    angles = draw(st.lists(angle, min_size=2, max_size=16))
+    if draw(st.booleans()):
+        base = draw(angle)
+        eps = draw(st.sampled_from([0.0, 1e-9, -1e-9, 3e-10, -3e-10]))
+        angles += [base, base + draw(st.floats(0.1, 3.0)), base + np.pi + eps]
+    rows = np.column_stack([np.cos(angles), np.sin(angles)])
+    antipodes = draw(st.lists(st.integers(0, len(rows) - 1), max_size=3,
+                              unique=True))
+    neighbours = draw(st.lists(st.integers(0, len(angles) - 1), max_size=2,
+                               unique=True))
+    near = [angles[i] + 1e-7 for i in neighbours]
+    rows = np.vstack([rows, -rows[antipodes],
+                      np.column_stack([np.cos(near), np.sin(near)])])
+    try:
+        return validate_normals(rows)
+    except DuplicateRow:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(irregular_systems())
+@example(validate_normals(
+    np.vstack([regular_normals(7).matrix, -regular_normals(7).matrix[:3]])))
+@example(validate_normals(np.column_stack([np.cos([0.0, 1.0, np.pi, 4.0]),
+                                          np.sin([0.0, 1.0, np.pi, 4.0])])))
+def test_irregular_systems_match_exhaustive_compile(ns):
+    assert_matches_oracle(ns)
+
+
+@pytest.mark.parametrize("angles", [[0.0, np.pi / 6, np.pi / 3],
+                                    [0.0, 1.0, 2.0, np.pi],
+                                    [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]])
+def test_unbounded_fans_still_raise(angles):
+    ns = validate_normals(np.column_stack([np.cos(angles), np.sin(angles)]))
+    assert not check_bounded(ns)
+    with pytest.raises(UnboundedSpace):
+        compile_cone(ns)
+    assert_matches_oracle(ns)
+
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([-2, -1, 0, 1, 2]),
+                          st.sampled_from([-2, -1, 0, 1, 2])),
+                min_size=1, max_size=8),
+       st.floats(0.1, 3.0), st.floats(0.1, 3.0))
+def test_prefix_minimum_matches_pairwise_at_tolerance_ties(steps, b_left,
+                                                           b_right):
+    # Ends base + step * tol include base - tol and base + tol exactly as
+    # the comparisons compute them, so every tie at the tolerance occurs.
+    tol = 1e-12
+    left = np.array([b_left + s * tol for s, _ in steps])
+    right = np.array([b_right + s * tol for _, s in steps])
+    got = (_contains_smaller(left, right, tol)
+           | _contains_smaller(right, left, tol))
+    assert np.array_equal(got, pairwise_witness(left, right, tol))

@@ -10,32 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polygal import (canonicalize, compile_cone, realize,
-                     spherical_grid_normals, validate_normals)
+from polygal import canonicalize, compile_cone, realize, validate_normals
 from polygal.coordinates import (_realize_generic, _realize_planar,
                                  facet_lengths_2d)
 
-from conftest import regular_normals
-
-TRANSFORMS = ("identity", "rotation", "reflection", "permutation")
-
-
-def transformed_grid(level, transform, seed):
-    ns = spherical_grid_normals(2, level)
-    rng = np.random.default_rng(seed)
-    m = ns.matrix
-    if transform == "rotation":
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        c, s = np.cos(theta), np.sin(theta)
-        m = np.column_stack([c * m[:, 0] - s * m[:, 1],
-                             s * m[:, 0] + c * m[:, 1]])
-    elif transform == "reflection":
-        # Negating x turns increasing angles into decreasing ones.
-        m = m * np.array([-1.0, 1.0])
-    elif transform == "permutation":
-        m = m[rng.permutation(m.shape[0])]
-    return validate_normals(m)
-
+from conftest import TRANSFORMS, regular_normals, transformed_grid
 
 @st.composite
 def interior_problems(draw):

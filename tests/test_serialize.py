@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from polygal import (Ball, MinkowskiSum, PointHull, Scaled,
-                     prune_redundant, realize)
+from polygal import (Ball, MinkowskiSum, PointHull, Scaled, compile_cone,
+                     prune_redundant, realize, spherical_grid_normals)
 from polygal import serialize
+
+from conftest import regular_normals
 
 
 def test_float_formatting_is_round_trip_stable():
@@ -43,6 +45,35 @@ def test_cone_round_trip(octagon_cone, tmp_path):
     # Byte-identical re-serialization.
     assert serialize.dumps(serialize.cone_to_obj(loaded)) == \
         serialize.dumps(serialize.cone_to_obj(pruned))
+
+
+@pytest.mark.parametrize("space", ["planar32", "grid3_level2"])
+def test_array_cone_round_trip(space, tmp_path):
+    ns = (regular_normals(32, 0.3) if space == "planar32"
+          else spherical_grid_normals(3, 2))
+    cone = prune_redundant(compile_cone(ns))
+    path = tmp_path / "cone.json"
+    serialize.write_json(path, serialize.cone_to_obj(cone))
+    loaded = serialize.cone_from_obj(serialize.read_json(path))
+    assert (loaded.matrix(include_pruned=True).tobytes()
+            == cone.matrix(include_pruned=True).tobytes())
+    for j in range(cone.count):
+        assert loaded.vertex(j) == cone.vertex(j)
+        assert loaded.pruned[j] == cone.pruned[j]
+    assert serialize.dumps(serialize.cone_to_obj(loaded)) == \
+        serialize.dumps(serialize.cone_to_obj(cone))
+
+
+def test_cone_load_rejects_inconsistent_columns(hexagon_cone):
+    obj = json.loads(serialize.dumps(serialize.cone_to_obj(hexagon_cone)))
+    tampered = json.loads(json.dumps(obj))
+    tampered["columns"][0]["vector"][0] += 1.0
+    with pytest.raises(ValueError):
+        serialize.cone_from_obj(tampered)
+    tampered = json.loads(json.dumps(obj))
+    tampered["columns"][-1]["support"][0] = 6
+    with pytest.raises(ValueError):
+        serialize.cone_from_obj(tampered)
 
 
 def test_polytope_and_coords_objects(square_cone):
