@@ -21,7 +21,7 @@ from .coordinates import (CoordinateVector, DegeneracyReport,
                           hausdorff_polytopes, perimeter_2d, polygon_area,
                           polytope_volume, realize, support_coordinates)
 from .bodies import (Ball, ConvexBody, HalfspacePolytope, MinkowskiSum,
-                     PointHull, ProjectionResult, Scaled, body_norm,
+                     PointHull, ProjectionResult, Scaled,
                      hausdorff_body_vs_polytope, project_coords,
                      project_interior, support)
 from .galerkin import (GalerkinSequence, adjacent_rho, embed_coordinates,
@@ -29,8 +29,7 @@ from .galerkin import (GalerkinSequence, adjacent_rho, embed_coordinates,
                        spherical_grid_normals)
 from .optimize import (ConstraintSpec, GalerkinProblem, LevelResult,
                        ObjectiveSpec, SequenceResult, SolverTolerances,
-                       evaluate_objective, run_sequence, set_distance,
-                       shift_constraints, solve_level,
-                       uniform_sphere_weights)
+                       run_sequence, set_distance, shift_constraints,
+                       solve_level, uniform_sphere_weights)
 
 __version__ = "0.1.0"

@@ -179,10 +179,6 @@ def support(body: ConvexBody, direction) -> float:
     return body.support(u)
 
 
-def body_norm(body: ConvexBody) -> float:
-    return body.norm()
-
-
 @dataclass
 class ProjectionResult:
     coords: CoordinateVector

@@ -194,7 +194,6 @@ def cmd_optimize(args):
         tol = problem.tolerances
         tol.feas_eps *= args.tol_scale
         tol.step_tol *= args.tol_scale
-        tol.phase1_margin *= args.tol_scale
     result = run_sequence(problem)
     config = _config_echo(args, "optimize")
     config.update({"problem": args.problem, "out": args.out})

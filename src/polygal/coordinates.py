@@ -5,7 +5,8 @@ Classification of right-hand sides against the compiled cone, canonical
 polytope Hausdorff distances, and boundary-stratum diagnosis.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+import itertools
 
 import numpy as np
 
@@ -53,7 +54,6 @@ class PolytopeRealization:
     vertices: np.ndarray
     active_sets: tuple
     facet_vertices: tuple
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def vertex_count(self) -> int:
@@ -134,11 +134,10 @@ def realize(b, cone: CompiledCone, *, precomputed_class=None) -> PolytopeRealiza
 def _planar_cycle(ns: NormalSystem):
     """Angle-consecutive row pairs of a planar system, cached on `ns`.
 
-    Returns (pairs, facets, det_min, active_sets, facet_vertices): pairs is
-    an (N, 2) index array of (lo, hi) rows sorted the way the generic path
-    sorts active sets, facets the (N, 2) array of the two pairs on each
-    row, det_min the smallest |det| of a pair, and the two tuples the
-    incidence of a realization with exactly these vertices.
+    Returns (pairs, det_min, active_sets, facet_vertices): pairs is an
+    (N, 2) index array of (lo, hi) rows sorted the way the generic path
+    sorts active sets, det_min the smallest |det| of a pair, and the two
+    tuples the incidence of a realization with exactly these vertices.
     """
     cached = ns._cache.get("planar_cycle")
     if cached is not None:
@@ -156,10 +155,38 @@ def _planar_cycle(ns: NormalSystem):
     det_min = float(np.abs(m[:, 0, 0] * m[:, 1, 1]
                            - m[:, 0, 1] * m[:, 1, 0]).min())
     pairs.setflags(write=False)
-    facets.setflags(write=False)
-    cached = (pairs, facets, det_min, tuple(map(tuple, pairs.tolist())),
+    cached = (pairs, det_min, tuple(map(tuple, pairs.tolist())),
               tuple(map(tuple, facets.tolist())))
     ns._cache["planar_cycle"] = cached
+    return cached
+
+
+def planar_forms(ns: NormalSystem):
+    """(Lam, w) of a planar system, cached on `ns`.
+
+    For coordinates b in the cone, the facet lengths are L = Lam b, the
+    area is b . Lam b / 2 and the perimeter is w . b with w = Lam^T 1 (the
+    mixed-area identity).  Lam is symmetric and cyclic tridiagonal in angle
+    order: the vertex on row k and its neighbour j lies (b_j - (a_k . a_j)
+    b_k) / |a_k x a_j| from the point b_k a_k along facet k, towards j, and
+    L_k sums this over the two neighbours.  Dot and cross products, not
+    angle differences, make Lam bitwise invariant under axis reflections.
+    """
+    cached = ns._cache.get("planar_forms")
+    if cached is not None:
+        return cached
+    pairs = _planar_cycle(ns)[0]
+    a, c = ns.matrix[pairs[:, 0]], ns.matrix[pairs[:, 1]]
+    cross = np.abs(a[:, 0] * c[:, 1] - a[:, 1] * c[:, 0])
+    dot = a[:, 0] * c[:, 0] + a[:, 1] * c[:, 1]
+    lam = np.zeros((ns.count, ns.count))
+    lam[pairs[:, 0], pairs[:, 1]] = 1.0 / cross
+    lam[pairs[:, 1], pairs[:, 0]] = 1.0 / cross
+    np.add.at(lam, (pairs.ravel(),) * 2, np.repeat(-dot / cross, 2))
+    w = lam.sum(axis=0)
+    lam.setflags(write=False)
+    w.setflags(write=False)
+    cached = ns._cache["planar_forms"] = (lam, w)
     return cached
 
 
@@ -191,7 +218,7 @@ def _realize_planar(ns: NormalSystem, b):
     each active set with margin to spare for the rounding of the activity
     test, and the final sort by active set is the order of `pairs`.
     """
-    pairs, facets, det_min, active_sets, facet_vertices = _planar_cycle(ns)
+    pairs, det_min, active_sets, facet_vertices = _planar_cycle(ns)
     if not det_min >= _PLANAR_DET_FLOOR:
         return None
     A = ns.matrix
@@ -209,9 +236,7 @@ def _realize_planar(ns: NormalSystem, b):
     if not (np.abs(np.diff(ordered, axis=0)).max(axis=1)
             > VERTEX_DEDUP_TOL).all():
         return None
-    real = PolytopeRealization(ns, b, vertices, active_sets, facet_vertices)
-    real._cache["incidence"] = (facets, pairs)
-    return real
+    return PolytopeRealization(ns, b, vertices, active_sets, facet_vertices)
 
 
 def _realize_generic(ns: NormalSystem, b) -> PolytopeRealization:
@@ -355,126 +380,23 @@ def diagnose_boundary(b, cone: CompiledCone) -> DegeneracyReport:
 # ---------------------------------------------------------------------------
 # Realization geometry (consumed by objectives and constraints)
 
-def _facet_tangent(a):
-    return np.array([-a[1], a[0]])
-
-
-def _endpoint_partner(real, vertex_index, k):
-    """Most orthogonal companion row for a vertex on facet k."""
-    a_k = real.normals.matrix[k]
-    best, best_det = None, 0.0
-    for i in real.active_sets[vertex_index]:
-        if i == k:
-            continue
-        a_i = real.normals.matrix[i]
-        det = abs(a_k[0] * a_i[1] - a_k[1] * a_i[0])
-        if det > best_det:
-            best, best_det = i, det
-    return best
-
-
-def _two_point_incidence(real):
-    """(facet_vertices, active_sets) as (N, 2) and (V, 2) index arrays when
-    every facet has two vertices and every vertex two active rows, else
-    None; cached on the realization."""
-    if "incidence" not in real._cache:
-        simple = (all(len(f) == 2 for f in real.facet_vertices)
-                  and all(len(a) == 2 for a in real.active_sets))
-        real._cache["incidence"] = ((np.array(real.facet_vertices),
-                                     np.array(real.active_sets))
-                                    if simple else None)
-    return real._cache["incidence"]
-
-
-def _facet_ends_stacked(real, facets, active, with_gradient):
-    """Lengths and (facet, partner, sign) endpoint rows of a realization
-    whose facets and vertices all have two entries, in the loop's order."""
-    A = real.normals.matrix
-    n = real.normals.count
-    t = np.column_stack([-A[:, 1], A[:, 0]])
-    # A stacked matmul repeats the loop's (2, 2) @ (2,) products bit for
-    # bit; einsum or elementwise products differ in the last bit.
-    proj = (real.vertices[facets] @ t[:, :, None])[:, :, 0]
-    p0, p1 = proj[:, 0], proj[:, 1]
-    lengths = np.maximum(p0, p1) - np.minimum(p0, p1)
-    if not with_gradient:
-        return lengths, None
-    # argmax / argmin over two entries keep the first one on ties.
-    hi = np.where(p1 > p0, facets[:, 1], facets[:, 0])
-    lo = np.where(p1 < p0, facets[:, 1], facets[:, 0])
-    ks = np.repeat(np.arange(n), 2)
-    rows = active[np.column_stack([hi, lo]).ravel()]
-    partners = np.where(rows[:, 0] == ks, rows[:, 1], rows[:, 0])
-    return lengths, (ks, partners, np.tile([1.0, -1.0], n))
-
-
-def _facet_ends_loop(real, with_gradient):
-    """Per-facet version of `_facet_ends_stacked` for any realization."""
-    A = real.normals.matrix
-    lengths = np.zeros(real.normals.count)
-    ks, partners, signs = [], [], []
-    for k in range(real.normals.count):
-        idx = real.facet_vertices[k]
-        if len(idx) < 2:
-            continue
-        proj = real.vertices[list(idx)] @ _facet_tangent(A[k])
-        lengths[k] = float(proj.max() - proj.min())
-        if not with_gradient:
-            continue
-        hi = idx[int(np.argmax(proj))]
-        lo = idx[int(np.argmin(proj))]
-        for vertex_index, sign in ((hi, 1.0), (lo, -1.0)):
-            partner = _endpoint_partner(real, vertex_index, k)
-            if partner is None:
-                raise NumericalFailure(
-                    "degenerate facet endpoint; gradient undefined")
-            ks.append(k)
-            partners.append(partner)
-            signs.append(sign)
-    if not with_gradient:
-        return lengths, None
-    return lengths, (np.array(ks, dtype=np.intp),
-                     np.array(partners, dtype=np.intp), np.array(signs))
-
-
-def facet_lengths_2d(real: PolytopeRealization, *, with_gradient=False):
-    """Facet lengths of a planar realization, optionally with d(len)/db.
-
-    The gradient is exact for coordinates whose facets all have two distinct
-    endpoints (interior coordinates); endpoint motion follows the inverse of
-    the 2x2 active system at each endpoint.  When every facet has two
-    vertices and every vertex two active rows, as for every interior
-    realization, all facets are handled at once by array operations that
-    reproduce the per-facet loop bit for bit; other realizations take the
-    loop.
-    """
+def facet_lengths_2d(real: PolytopeRealization) -> np.ndarray:
+    """Facet lengths of a planar realization: the spread of each facet's
+    vertices along its tangent (0 for a facet with under two vertices)."""
     if real.dimension != 2:
-        raise ValueError("facet lengths with gradients require d = 2")
-    incidence = _two_point_incidence(real)
-    if incidence is not None:
-        lengths, ends = _facet_ends_stacked(real, *incidence, with_gradient)
-    else:
-        lengths, ends = _facet_ends_loop(real, with_gradient)
-    if not with_gradient:
-        return lengths
+        raise ValueError("facet lengths require d = 2")
     n = real.normals.count
-    grad = np.zeros((n, n))
-    ks, partners, s_arr = ends
-    if ks.size:
-        A = real.normals.matrix
-        ak = A[ks]
-        ap = A[partners]
-        det = ak[:, 0] * ap[:, 1] - ak[:, 1] * ap[:, 0]
-        if not (np.abs(det) >= 1e-12).all():
-            raise NumericalFailure(
-                "degenerate facet endpoint; gradient undefined")
-        # Columns of the inverse of rows [a_k; a_partner].
-        col_k = np.column_stack([ap[:, 1], -ap[:, 0]]) / det[:, None]
-        col_p = np.column_stack([-ak[:, 1], ak[:, 0]]) / det[:, None]
-        t_arr = np.column_stack([-ak[:, 1], ak[:, 0]])
-        np.add.at(grad, (ks, ks), s_arr * (t_arr * col_k).sum(axis=1))
-        np.add.at(grad, (ks, partners), s_arr * (t_arr * col_p).sum(axis=1))
-    return lengths, grad
+    counts = [len(idx) for idx in real.facet_vertices]
+    facet = np.repeat(np.arange(n), counts)
+    pts = real.vertices[np.fromiter(itertools.chain.from_iterable(
+        real.facet_vertices), dtype=np.intp, count=facet.size)]
+    A = real.normals.matrix
+    proj = A[facet, 0] * pts[:, 1] - A[facet, 1] * pts[:, 0]
+    hi = np.full(n, -np.inf)
+    lo = np.full(n, np.inf)
+    np.maximum.at(hi, facet, proj)
+    np.minimum.at(lo, facet, proj)
+    return np.where(np.array(counts) > 1, hi - lo, 0.0)
 
 
 def ordered_vertices_2d(real: PolytopeRealization) -> np.ndarray:

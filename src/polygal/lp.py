@@ -82,25 +82,31 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def _run_simplex(T, basis, max_iter):
+def _run_simplex(T, basis, max_iter, bounded=False):
     """Bland-rule simplex on a canonical tableau; returns ('optimal', -1) or
-    ('unbounded', entering_column)."""
+    ('unbounded', entering_column).
+
+    With `bounded` the objective is known to be bounded below (phase 1), so
+    a column with negative reduced cost and no positive entry is rounding,
+    not an improving ray: it is passed over for the next Bland candidate.
+    """
     m = len(basis)
     for _ in range(max_iter):
         reduced = T[-1, :-1]
-        negatives = np.nonzero(reduced < -_COST_TOL)[0]
-        if negatives.size == 0:
+        for j in np.nonzero(reduced < -_COST_TOL)[0]:
+            col = T[:m, j]
+            pos = np.nonzero(col > _PIVOT_TOL)[0]
+            if pos.size:
+                break
+            if not bounded:
+                return UNBOUNDED, int(j)
+        else:
             return OPTIMAL, -1
-        j = int(negatives[0])
-        col = T[:m, j]
-        pos = np.nonzero(col > _PIVOT_TOL)[0]
-        if pos.size == 0:
-            return UNBOUNDED, j
         ratios = T[:m, -1][pos] / col[pos]
         best = ratios.min()
         ties = pos[ratios <= best + 1e-12 * (1.0 + abs(best))]
         row = int(min(ties, key=lambda i: basis[i]))
-        _pivot(T, basis, row, j)
+        _pivot(T, basis, row, int(j))
     raise NumericalFailure("simplex exceeded its iteration budget")
 
 
@@ -109,7 +115,8 @@ def _standard_form_simplex(cost, A_eq, b_eq):
 
     Returns (status, z, y, ray) where y are the equality multipliers
     (zero on rows found redundant in phase 1) and ray is an unbounded
-    improving direction when status is 'unbounded'.
+    improving direction when status is 'unbounded' (None when the final
+    basis is singular).
     """
     A_eq = np.asarray(A_eq, dtype=float)
     b_eq = np.asarray(b_eq, dtype=float)
@@ -131,9 +138,7 @@ def _standard_form_simplex(cost, A_eq, b_eq):
     T[-1, :n] = -A.sum(axis=0)
     T[-1, -1] = -b.sum()
     basis = list(range(n, n + m))
-    status, _ = _run_simplex(T, basis, max_iter)
-    if status != OPTIMAL:
-        raise NumericalFailure("phase-1 subproblem reported unbounded")
+    _run_simplex(T, basis, max_iter, bounded=True)
     scale = 1.0 + float(np.abs(b).max(initial=0.0))
     if -T[-1, -1] > 1e-8 * scale:
         return INFEASIBLE, None, None, None
@@ -171,8 +176,10 @@ def _standard_form_simplex(cost, A_eq, b_eq):
         if mk:
             try:
                 ray[basis] = np.linalg.solve(B, -A_eq[orig_rows, enter])
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailure("singular basis at unbounded ray") from exc
+            except np.linalg.LinAlgError:
+                # Rounding let dependent columns into the basis, which
+                # then yields no ray; the caller certifies another way.
+                return UNBOUNDED, None, None, None
         np.clip(ray, 0.0, None, out=ray)
         return UNBOUNDED, None, None, ray
 
@@ -200,14 +207,16 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     if status == OPTIMAL:
         return LpOutcome(OPTIMAL, primal_point=x, value=float(c @ x),
                          dual_certificate=p)
-    if status == UNBOUNDED:
+    if ray is not None:
         # The dual decreases without bound along ray r >= 0 with A^T r = 0 and
         # b.r < 0, which is exactly a Farkas certificate for the primal.
         return LpOutcome(INFEASIBLE, dual_certificate=ray)
     feasible, certificate = farkas_feasible(A, b)
-    if feasible:
-        return LpOutcome(UNBOUNDED)
-    return LpOutcome(INFEASIBLE, dual_certificate=certificate)
+    if not feasible:
+        return LpOutcome(INFEASIBLE, dual_certificate=certificate)
+    if status == UNBOUNDED:
+        raise NumericalFailure("singular basis at unbounded ray")
+    return LpOutcome(UNBOUNDED)
 
 
 def farkas_feasible(A, b):
@@ -263,8 +272,12 @@ def _solve_subsystems(A, b, combos):
     return x, ok
 
 
-def _recession_bounded(A):
-    """True iff {x : Ax <= 0} = {0}, probed along +-e_i."""
+def recession_bounded(A):
+    """True iff {x : Ax <= 0} = {0}.
+
+    Probes max{c.x : Ax <= 0} for c = +-e_1..+-e_d; the recession cone is
+    trivial exactly when every probe is bounded.
+    """
     d = A.shape[1]
     zero = np.zeros(A.shape[0])
     for axis in range(d):
@@ -323,7 +336,7 @@ def enumerate_primal_vertices(A, b, *, assume_bounded=False):
             raise UnboundedRegion("feasible region has no vertex")
         return []
 
-    if not assume_bounded and not _recession_bounded(A):
+    if not assume_bounded and not recession_bounded(A):
         raise UnboundedRegion("region has an unbounded direction")
 
     verts = np.array(merged)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BadDimension, DuplicateRow, ZeroRow
-from .lp import LinearProgram, UNBOUNDED, solve_lp
+from .lp import recession_bounded
 
 UNIT_TOL = 1e-12
 DISTINCT_TOL = 1e-9
@@ -76,25 +76,9 @@ def validate_normals(raw) -> NormalSystem:
 
 
 def check_bounded(ns: NormalSystem) -> bool:
-    """True iff {x : Ax <= 0} = {0}, i.e. the space consists of polytopes.
-
-    Probes max{c.x : Ax <= 0} for c = +-e_1..+-e_d; the recession cone is
-    trivial exactly when every probe is bounded.
-    """
+    """True iff {x : Ax <= 0} = {0}, i.e. the space consists of polytopes;
+    `lp.recession_bounded`, cached on `ns`."""
     cached = ns._cache.get("bounded")
-    if cached is not None:
-        return cached
-    A = ns.matrix
-    zero = np.zeros(ns.count)
-    bounded = True
-    for axis in range(ns.dimension):
-        for sign in (1.0, -1.0):
-            c = np.zeros(ns.dimension)
-            c[axis] = sign
-            if solve_lp(LinearProgram(c, A, zero)).status == UNBOUNDED:
-                bounded = False
-                break
-        if not bounded:
-            break
-    ns._cache["bounded"] = bounded
-    return bounded
+    if cached is None:
+        cached = ns._cache["bounded"] = recession_bounded(ns.matrix)
+    return cached

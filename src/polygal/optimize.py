@@ -3,9 +3,10 @@
 Each level minimizes an objective in coordinates subject to cone membership
 (touching columns only; the nonemptiness conditions are implied by the inner
 box), support boxes from the inner/outer bodies, and shifted functional
-constraints.  Levels are solved with a log-barrier method whose inner loop
-is gradient descent with backtracking; coarse minimizers warm-start finer
-levels through the embedding.
+constraints.  Every constraint is a linear row in coordinates: in d = 2 the
+perimeter is w . b (see `coordinates.planar_forms`).  Levels are solved with
+a log-barrier method whose inner loop is gradient descent with backtracking;
+coarse minimizers warm-start finer levels through the embedding.
 """
 
 from dataclasses import dataclass, field
@@ -17,7 +18,8 @@ from .bodies import ConvexBody, project_coords
 from .cone import compile_cone, prune_redundant
 from .coordinates import (CoordinateVector, INTERIOR, PolytopeRealization,
                           facet_lengths_2d, facet_measures,
-                          hausdorff_polytopes, polytope_volume, realize)
+                          hausdorff_polytopes, planar_forms, polytope_volume,
+                          realize)
 from .errors import InfeasibleLevel, NumericalFailure
 from .galerkin import GalerkinSequence, embed_coordinates, estimate_kappa
 from .lp import LinearProgram, OPTIMAL, solve_lp
@@ -119,10 +121,6 @@ class ObjectiveSpec:
         return None
 
 
-def evaluate_objective(spec: ObjectiveSpec, b, realization=None) -> float:
-    return spec.value(np.asarray(b, dtype=float), realization)
-
-
 @dataclass
 class ConstraintSpec:
     """A functional constraint Psi(C) <= 0 in coordinates.
@@ -179,10 +177,6 @@ class ShiftedConstraint:
     spec: ConstraintSpec
     shift: float
 
-    @property
-    def is_linear(self) -> bool:
-        return self.spec.kind in (SUPPORT_BOX, LINEAR_SUPPORT_LE)
-
     def values(self, b, realization=None) -> np.ndarray:
         s = self.spec
         if s.kind == PERIMETER_LE:
@@ -214,10 +208,8 @@ class SolverTolerances:
     mu_factor: float = 0.5
     step_tol: float = 1e-9
     max_inner: int = 60
-    max_phase1: int = 500
     feas_eps: float = 1e-6
     fd_step: float = 1e-6
-    phase1_margin: float = 1e-7
 
 
 @dataclass
@@ -273,8 +265,10 @@ class SequenceResult:
 
 
 class _BarrierProblem:
-    """Barrier view of one level: linear slack rows plus nonlinear shifted
-    constraints, with cached realizations per iterate."""
+    """Barrier view of one level: the linear slack rows G b - h > 0 and the
+    objective.  In d = 2 the area is the quadratic form of
+    `coordinates.planar_forms`; otherwise realizations are cached per
+    iterate."""
 
     def __init__(self, cone, objective, shifted, lower, upper, tol):
         self.cone = cone
@@ -289,51 +283,57 @@ class _BarrierProblem:
         offsets.append(lower)
         rows.append(-eye)
         offsets.append(-upper)
-        self.nonlinear = []
         for sc in shifted:
-            if sc.spec.kind == LINEAR_SUPPORT_LE:
-                rows.append(-sc.spec.weights[None, :])
-                offsets.append(np.array([-(sc.spec.limit + sc.shift)]))
-            elif sc.spec.kind == SUPPORT_BOX:
+            if sc.spec.kind == SUPPORT_BOX:
                 if sc.spec.upper is not None:
                     rows.append(-eye)
                     offsets.append(-(sc.spec.upper + sc.shift))
                 if sc.spec.lower is not None:
                     rows.append(eye)
                     offsets.append(sc.spec.lower - sc.shift)
+                continue
+            if sc.spec.kind == LINEAR_SUPPORT_LE:
+                weights = sc.spec.weights
+            elif ns.dimension == 2:
+                weights = planar_forms(ns)[1]
             else:
-                self.nonlinear.append(sc)
+                raise ValueError("perimeter_le requires d = 2")
+            rows.append(-weights[None, :])
+            offsets.append(np.array([-(sc.spec.limit + sc.shift)]))
         self.G = np.vstack(rows)
         self.h = np.concatenate(offsets)
-        self.needs_real = objective.needs_realization or bool(self.nonlinear)
+        self.area_form = (planar_forms(ns)[0] if objective.kind == NEG_VOLUME
+                          and ns.dimension == 2 else None)
         self.scale = 1.0 + float(np.abs(self.h).max(initial=0.0))
-        self._point_cache = {}
+        self._real_cache = {}
 
     def lin_slacks(self, b):
         return self.G @ b - self.h
 
     def realization(self, b):
-        cv = CoordinateVector(np.asarray(b, dtype=float), INTERIOR)
-        return realize(b, self.cone, precomputed_class=cv)
-
-    def point(self, b):
+        if not self.objective.needs_realization:
+            return None
         # Value and gradient evaluations hit the same iterate; cache the
-        # realization-bearing tuple keyed by the exact coordinates.
+        # realization keyed by the exact coordinates.
         key = b.tobytes()
-        hit = self._point_cache.get(key)
-        if hit is not None:
-            return hit
-        real = self.realization(b) if self.needs_real else None
-        phi = self.objective.value(b, real)
-        psi = (np.concatenate([sc.values(b, real) for sc in self.nonlinear])
-               if self.nonlinear else np.zeros(0))
-        if len(self._point_cache) > 8:
-            self._point_cache.clear()
-        self._point_cache[key] = (phi, psi, real)
-        return phi, psi, real
+        real = self._real_cache.get(key)
+        if real is None:
+            cv = CoordinateVector(np.asarray(b, dtype=float), INTERIOR)
+            real = realize(b, self.cone, precomputed_class=cv)
+            if len(self._real_cache) > 8:
+                self._real_cache.clear()
+            self._real_cache[key] = real
+        return real
 
-    def objective_gradient(self, b, real):
-        grad = self.objective.gradient(b, real)
+    def objective_value(self, b):
+        if self.area_form is not None:
+            return -0.5 * float(b @ (self.area_form @ b))
+        return self.objective.value(b, self.realization(b))
+
+    def objective_gradient(self, b):
+        if self.area_form is not None:
+            return -(self.area_form @ b)
+        grad = self.objective.gradient(b, self.realization(b))
         if grad is not None:
             return grad
         h = self.tol.fd_step * (1.0 + float(np.abs(b).max()))
@@ -341,23 +341,11 @@ class _BarrierProblem:
         for i in range(b.size):
             probe = b.copy()
             probe[i] += h
-            up = self.objective.value(probe, self.realization(probe)
-                                      if self.objective.needs_realization else None)
+            up = self.objective.value(probe, self.realization(probe))
             probe[i] -= 2 * h
-            dn = self.objective.value(probe, self.realization(probe)
-                                      if self.objective.needs_realization else None)
+            dn = self.objective.value(probe, self.realization(probe))
             grad[i] = (up - dn) / (2 * h)
         return grad
-
-    def nonlinear_gradients(self, b, real):
-        grads = []
-        for sc in self.nonlinear:
-            if sc.spec.kind == PERIMETER_LE:
-                _, dlen = facet_lengths_2d(real, with_gradient=True)
-                grads.append(dlen.sum(axis=0))
-            else:
-                raise NumericalFailure("unsupported nonlinear constraint")
-        return grads
 
 
 def _max_step(problem, b, direction):
@@ -372,7 +360,7 @@ def _max_step(problem, b, direction):
 def _descend(problem, b, value_fn, grad_fn, *, max_iter, step_tol,
              improve_tol=0.0):
     """Backtracking gradient descent keeping all linear slacks strictly
-    positive; value_fn returns +inf outside the nonlinear domain.
+    positive; value_fn returns +inf outside the barrier domain.
     Stops on small steps or, when improve_tol > 0, on stalling progress
     (approximate centering is enough away from the barrier floor)."""
     b = b.copy()
@@ -413,88 +401,29 @@ def _descend(problem, b, value_fn, grad_fn, *, max_iter, step_tol,
     return b, f, iterations
 
 
-def _phase1(problem, b0, tol):
-    """Quadratic penalty push into {Psi < 0}, barriered on the linear rows."""
-    margin = tol.phase1_margin * problem.scale
-    mu1 = 1e-6 * problem.scale
-
-    def value(b):
-        slacks = problem.lin_slacks(b)
-        if (slacks <= 0).any():
-            return np.inf
-        _, psi, _ = problem.point(b)
-        return float((np.maximum(psi + margin, 0.0) ** 2).sum()
-                     - mu1 * np.log(slacks).sum())
-
-    def grad(b):
-        slacks = problem.lin_slacks(b)
-        _, psi, real = problem.point(b)
-        g = -mu1 * (problem.G / slacks[:, None]).sum(axis=0)
-        grads = problem.nonlinear_gradients(b, real)
-        for val, dg in zip(psi, grads):
-            if val + margin > 0:
-                g += 2.0 * (val + margin) * dg
-        return g
-
-    b = b0.copy()
-    total = 0
-    for _ in range(10):
-        _, psi, _ = problem.point(b)
-        if (psi < -margin / 2).all():
-            return b, total
-        budget = max(10, tol.max_phase1 // 10)
-        b, _, its = _descend(problem, b, value, grad,
-                             max_iter=budget, step_tol=tol.step_tol)
-        total += its
-        if total >= tol.max_phase1:
-            break
-    _, psi, _ = problem.point(b)
-    if (psi < 0).all():
-        return b, total
-    return None, total
-
-
 def _solve_from_start(problem, b0, tol):
     iterations = 0
     b = b0.copy()
-    if problem.nonlinear:
-        _, psi, _ = problem.point(b)
-        if (psi >= -tol.phase1_margin * problem.scale).any():
-            b, its = _phase1(problem, b, tol)
-            iterations += its
-            if b is None:
-                return None
     mu = tol.mu_init
     while mu >= tol.mu_floor:
         def value(x, mu=mu):
             slacks = problem.lin_slacks(x)
             if (slacks <= 0).any():
                 return np.inf
-            phi, psi, _ = problem.point(x)
-            if psi.size and (psi >= 0).any():
-                return np.inf
-            total = phi - mu * np.log(slacks).sum()
-            if psi.size:
-                total -= mu * np.log(-psi).sum()
-            return float(total)
+            return float(problem.objective_value(x)
+                         - mu * np.log(slacks).sum())
 
         def grad(x, mu=mu):
             slacks = problem.lin_slacks(x)
-            _, psi, real = problem.point(x)
-            g = problem.objective_gradient(x, real)
-            g = g - mu * (problem.G / slacks[:, None]).sum(axis=0)
-            if psi.size:
-                for val, dg in zip(psi, problem.nonlinear_gradients(x, real)):
-                    g = g + mu * dg / (-val)
-            return g
+            return (problem.objective_gradient(x)
+                    - mu * (problem.G / slacks[:, None]).sum(axis=0))
 
         b, _, its = _descend(problem, b, value, grad,
                              max_iter=tol.max_inner, step_tol=tol.step_tol,
                              improve_tol=1e-3 * mu)
         iterations += its
         mu *= tol.mu_factor
-    phi, psi, _ = problem.point(b)
-    return b, phi, psi, iterations
+    return b, problem.objective_value(b), iterations
 
 
 def _chebyshev_start(problem):
@@ -519,9 +448,13 @@ def solve_level(problem: GalerkinProblem, level: int, *, cone=None,
 
     The constraint set enforces the touching membership columns (the
     nonemptiness columns are implied by the inner box), the projected
-    support boxes, and the shifted functional constraints.  Multi-start:
-    the warm start (when given), the interior-blended inner projection,
-    and the box midpoint; results merge by (objective, lexicographic b).
+    support boxes, and the shifted functional constraints, all as linear
+    rows.  Multi-start: the warm start (when given), the interior-blended
+    inner projection, and the box midpoint, each kept only when it is
+    strictly inside every row; when none is, the Chebyshev center of the
+    rows is the one start.  Under a perimeter cap the warm start and the
+    box midpoint usually lie outside the cap and are dropped.  Results
+    merge by (objective, lexicographic b).
     """
     t_start = time.perf_counter()
     tol = problem.tolerances
@@ -562,20 +495,13 @@ def solve_level(problem: GalerkinProblem, level: int, *, cone=None,
     results = []
     iterations = 0
     for b0 in starts:
-        solved = _solve_from_start(barrier, b0, tol)
-        if solved is None:
-            continue
-        b, phi, psi, its = solved
+        b, phi, its = _solve_from_start(barrier, b0, tol)
         iterations += its
-        results.append((phi, tuple(b), b, psi))
-    if not results:
-        raise InfeasibleLevel("no start reached the nonlinear-feasible region")
+        results.append((phi, tuple(b), b))
     results.sort(key=lambda r: (r[0], r[1]))
-    _, _, b_best, psi_best = results[0]
+    b_best = results[0][2]
 
-    feas = tol.feas_eps * barrier.scale
-    if barrier.lin_slacks(b_best).min() < -feas or \
-            (psi_best.size and psi_best.max() > feas):
+    if barrier.lin_slacks(b_best).min() < -tol.feas_eps * barrier.scale:
         raise NumericalFailure("solver returned an infeasible point")
 
     realization = realize(b_best, cone)
@@ -594,7 +520,9 @@ def solve_level(problem: GalerkinProblem, level: int, *, cone=None,
 def run_sequence(problem: GalerkinProblem) -> SequenceResult:
     """Solve every requested level, warm-starting each from the previous
     minimizer (embedded, then blended toward the interior), and report the
-    cross-level convergence table."""
+    cross-level convergence table.  A warm start outside a level's rows,
+    as under a tight perimeter cap, is dropped like any other start (see
+    `solve_level`)."""
     indices = problem.level_indices()
     if not indices:
         raise ValueError("no levels to run")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polygal import (Ball, DegenerateBody, HalfspacePolytope, MinkowskiSum,
-                     PointHull, Scaled, UnboundedBody, body_norm,
+                     PointHull, Scaled, UnboundedBody,
                      compile_cone, estimate_delta, estimate_kappa,
                      hausdorff_body_vs_polytope, project_coords,
                      project_interior, realize, support)
@@ -24,24 +24,24 @@ def test_support_examples():
 
 
 def test_body_norms():
-    assert body_norm(Ball([1, 0], 1.0)) == pytest.approx(2.0)
-    assert body_norm(PointHull([[1, 1], [1, -1], [-1, 1], [-1, -1]])) == \
+    assert Ball([1, 0], 1.0).norm() == pytest.approx(2.0)
+    assert PointHull([[1, 1], [1, -1], [-1, 1], [-1, -1]]).norm() == \
         pytest.approx(np.sqrt(2))
-    assert body_norm(MinkowskiSum((Ball([0, 0], 1.0), Ball([0, 0], 1.0)))) == \
+    assert MinkowskiSum((Ball([0, 0], 1.0), Ball([0, 0], 1.0))).norm() == \
         pytest.approx(2.0)
-    assert body_norm(Scaled(3.0, Ball([0, 0], 1.0))) == pytest.approx(3.0)
+    assert Scaled(3.0, Ball([0, 0], 1.0)).norm() == pytest.approx(3.0)
 
 
 def test_halfspace_body(square_ns):
     body = HalfspacePolytope(square_ns.matrix, np.ones(4))
     assert support(body, [1, 0]) == pytest.approx(1.0, abs=1e-9)
-    assert body_norm(body) == pytest.approx(np.sqrt(2), abs=1e-9)
+    assert body.norm() == pytest.approx(np.sqrt(2), abs=1e-9)
     open_strip = HalfspacePolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]),
                                    np.ones(2))
     with pytest.raises(UnboundedBody):
         support(open_strip, [0, 1])
     with pytest.raises(UnboundedBody):
-        body_norm(open_strip)
+        open_strip.norm()
     with pytest.raises(ValueError):
         HalfspacePolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]),
                           np.array([1.0, -2.0]))

@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from polygal import (LinearProgram, UnboundedRegion, enumerate_primal_vertices,
-                     farkas_feasible, solve_lp)
+from polygal import (LinearProgram, UnboundedRegion, check_bounded,
+                     enumerate_primal_vertices, farkas_feasible, solve_lp,
+                     validate_normals)
 
 from conftest import regular_normals
 
@@ -25,6 +26,22 @@ def test_contradictory_strip_is_infeasible():
     assert (p >= -1e-12).all()
     assert np.abs(A.T @ p).max() <= 1e-9
     assert b @ p < 0
+
+
+def test_phase1_passes_over_a_rounding_column():
+    # A bounded fan (largest gap 2.14 < pi).  Probing +e_1, phase 1 met a
+    # reduced cost of -1.86e-9, just past the cost tolerance, on a column
+    # with no positive entry; a phase-1 objective is bounded below by 0, so
+    # that column is rounding, not an improving ray.
+    angles = np.array([3.0, 1e-7, 1.0, 2.0, 1.0 + np.pi])
+    ns = validate_normals(np.column_stack([np.cos(angles), np.sin(angles)]))
+    out = solve_lp(LinearProgram([1.0, 0.0], ns.matrix, np.zeros(5)))
+    assert out.status == "optimal"
+    assert abs(out.value) <= 1e-9
+    p = out.dual_certificate
+    assert (p >= -1e-12).all()
+    assert np.abs(ns.matrix.T @ p - [1.0, 0.0]).max() <= 1e-8
+    assert check_bounded(ns)
 
 
 def test_halfplane_is_unbounded():

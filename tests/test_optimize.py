@@ -3,8 +3,7 @@ import pytest
 
 from polygal import (Ball, ConstraintSpec, GalerkinProblem, GalerkinSequence,
                      InfeasibleLevel, ObjectiveSpec, PointHull,
-                     compile_cone, estimate_kappa, evaluate_objective,
-                     perimeter_2d, polygon_area,
+                     compile_cone, estimate_kappa, perimeter_2d, polygon_area,
                      project_coords, prune_redundant, realize, run_sequence,
                      set_distance, shift_constraints, solve_level,
                      uniform_sphere_weights)
@@ -42,15 +41,15 @@ def test_default_lipschitz_constants():
 
 def test_evaluate_objective_examples(square_cone, hexagon_cone):
     sq = realize(np.ones(4), square_cone)
-    assert evaluate_objective(ObjectiveSpec("neg_volume"), np.ones(4), sq) == \
+    assert ObjectiveSpec("neg_volume").value(np.ones(4), sq) == \
         pytest.approx(-4.0, abs=1e-9)
     hexa = realize(np.ones(6), hexagon_cone)
-    assert evaluate_objective(ObjectiveSpec("neg_volume"), np.ones(6), hexa) == \
+    assert ObjectiveSpec("neg_volume").value(np.ones(6), hexa) == \
         pytest.approx(-2 * np.sqrt(3), abs=1e-9)
     b = project_coords(Ball([0, 0], 1.0), hexagon_cone.normal_system).coords.b
     spec = ObjectiveSpec("linear_support",
                          weights=uniform_sphere_weights(2, 6))
-    assert evaluate_objective(spec, b) == pytest.approx(2 * np.pi)
+    assert spec.value(b) == pytest.approx(2 * np.pi)
 
 
 def test_objective_resolution(hexagon_ns):
@@ -143,6 +142,17 @@ def test_infeasible_level_detected(square_ns):
         inner_body=Ball([0, 0], 1.0), outer_body=Ball([0, 0], 2.0),
         sequence=seq, report_kappa=False)
     with pytest.raises(InfeasibleLevel):
+        solve_level(problem, 0)
+
+
+def test_perimeter_cap_outside_the_plane_is_refused():
+    seq = GalerkinSequence.from_grid(3, [2])
+    problem = GalerkinProblem(
+        objective=ObjectiveSpec("neg_volume"),
+        constraints=[ConstraintSpec("perimeter_le", limit=2 * np.pi)],
+        inner_body=PointHull([[0, 0, 0]]), outer_body=Ball([0, 0, 0], 2.0),
+        sequence=seq, report_kappa=False)
+    with pytest.raises(ValueError, match="perimeter_le requires d = 2"):
         solve_level(problem, 0)
 
 

@@ -1,4 +1,6 @@
-"""The d = 2 realization fast path against the exhaustive generic path.
+"""The d = 2 realization fast path against the exhaustive generic path, and
+the closed forms L = Lam b, area b . Lam b / 2 and perimeter w . b against
+the realized geometry.
 
 The fast path must return exactly what the generic enumeration returns, bit
 for bit, whenever it is taken.  It must decline boundary coordinates and
@@ -10,9 +12,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polygal import canonicalize, compile_cone, realize, validate_normals
+from polygal import (canonicalize, compile_cone, perimeter_2d, polygon_area,
+                     realize, spherical_grid_normals, validate_normals)
 from polygal.coordinates import (_realize_generic, _realize_planar,
-                                 facet_lengths_2d)
+                                 facet_lengths_2d, planar_forms)
 
 from conftest import TRANSFORMS, regular_normals, transformed_grid
 
@@ -34,9 +37,21 @@ def interior_problems(draw):
 
 
 def loop_facet_lengths(real):
-    """facet_lengths_2d through its per-facet loop."""
-    real._cache["incidence"] = None
-    return facet_lengths_2d(real, with_gradient=True)
+    """Reference facet lengths by a loop over the facets: the spread of
+    each facet's vertices along its tangent."""
+    A = real.normals.matrix
+    lengths = np.zeros(real.normals.count)
+    for k, idx in enumerate(real.facet_vertices):
+        if len(idx) > 1:
+            proj = real.vertices[list(idx)] @ np.array([-A[k, 1], A[k, 0]])
+            lengths[k] = proj.max() - proj.min()
+    return lengths
+
+
+def assert_lengths_match_loop(real):
+    scale = 1.0 + np.abs(real.vertices).max()
+    assert np.abs(facet_lengths_2d(real) - loop_facet_lengths(real)).max() \
+        <= 1e-12 * scale
 
 
 def assert_same_realization(fast, generic):
@@ -53,11 +68,31 @@ def test_planar_path_equals_generic_enumeration(problem):
     assert fast is not None
     generic = _realize_generic(ns, b)
     assert_same_realization(fast, generic)
-    lengths, grad = facet_lengths_2d(fast, with_gradient=True)
-    assert np.array_equal(lengths, facet_lengths_2d(fast))
-    ref_lengths, ref_grad = loop_facet_lengths(generic)
-    assert np.array_equal(lengths, ref_lengths)
-    assert np.array_equal(grad, ref_grad)
+    assert np.array_equal(facet_lengths_2d(fast), facet_lengths_2d(generic))
+    assert_lengths_match_loop(fast)
+
+
+@settings(max_examples=80, deadline=None)
+@given(interior_problems())
+def test_closed_forms_match_realized_geometry(problem):
+    ns, b = problem
+    real = _realize_planar(ns, b)
+    assert real is not None
+    lam, w = planar_forms(ns)
+    tol = 1e-12 * (1.0 + np.abs(b).max()) ** 2
+    assert np.abs(lam @ b - facet_lengths_2d(real)).max() <= tol
+    assert abs(0.5 * b @ lam @ b - polygon_area(real)) <= tol
+    assert abs(w @ b - perimeter_2d(real)) <= tol
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+def test_closed_forms_are_bitwise_invariant_under_axis_reflections(level):
+    ns = spherical_grid_normals(2, level)
+    lam, w = planar_forms(ns)
+    for signs in ([-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]):
+        lam_r, w_r = planar_forms(validate_normals(ns.matrix * signs))
+        assert lam_r.tobytes() == lam.tobytes()
+        assert w_r.tobytes() == w.tobytes()
 
 
 def declined(ns, b, cone):
@@ -66,6 +101,7 @@ def declined(ns, b, cone):
     generic = _realize_generic(ns, b)
     assert_same_realization(real, generic)
     assert np.array_equal(facet_lengths_2d(real), facet_lengths_2d(generic))
+    assert_lengths_match_loop(real)
     return real
 
 

@@ -118,8 +118,9 @@ def test_problem_from_obj():
     assert len(problem.sequence.levels) == 2
     assert problem.tolerances.mu_floor == 1e-6
     assert problem.constraints[0].lipschitz_L == pytest.approx(2 * np.pi)
-    with pytest.raises(ValueError):
-        serialize.problem_from_obj({**obj, "tolerances": {"bogus": 1}})
+    for key in ("bogus", "phase1_margin", "max_phase1"):
+        with pytest.raises(ValueError):
+            serialize.problem_from_obj({**obj, "tolerances": {key: 1}})
 
 
 def test_unknown_schema_version_rejected():
