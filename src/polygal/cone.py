@@ -345,17 +345,12 @@ def extreme_points_touching(ns: NormalSystem, k: int, *, allow_large=False):
     return _vertices(int(k), *_touching_arrays(ns, k))
 
 
-def dual_vertices_for_direction(ns: NormalSystem, c, *, pool=None,
-                                allow_large=False):
-    """Extreme points of {p >= 0 : A^T p = c} for an arbitrary direction c,
-    optionally restricted to supports within `pool`."""
+def dual_vertices_for_direction(ns: NormalSystem, c, *, allow_large=False):
+    """Extreme points of {p >= 0 : A^T p = c} for an arbitrary direction c."""
     _size_guard(ns, allow_large)
-    if pool is None:
-        pool = np.arange(ns.count)
-    c = np.asarray(c, dtype=float)
+    subsets = _all_subsets(np.arange(ns.count), range(1, ns.dimension + 1))
     supports, weights = _positive_combinations(
-        ns.matrix.T, c, _all_subsets(pool, range(1, ns.dimension + 1)),
-        ns.dimension)
+        ns.matrix.T, np.asarray(c, dtype=float), subsets, ns.dimension)
     return _vertices(None, supports, weights)
 
 

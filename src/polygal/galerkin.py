@@ -8,10 +8,11 @@ representations average nearby normals (kappa).
 """
 
 from dataclasses import dataclass, field
+import itertools
 
 import numpy as np
 
-from .cone import dual_vertices_for_direction
+from .cone import INDEP_TOL, _size_guard, dual_vertices_for_direction
 from .coordinates import CoordinateVector, EXTERIOR, UNCLASSIFIED, canonicalize, classify
 from .errors import (BadDimension, BadLevel, EmptyPolytope,
                      ExteriorCoordinates, NumericalFailure, UnboundedSpace)
@@ -170,61 +171,9 @@ def _mixture_minimum(ns, c, rep_a, rep_b):
     return float((q * gaps).sum(axis=1).min())
 
 
-def _pair_representations_2d(ns, c):
-    """All strictly positive two-normal (and aligned one-normal)
-    representations of c, batched: (supports, weights, costs)."""
-    A = ns.matrix
-    n = ns.count
-    combos = _combinations_array(n, 2)
-    ai, aj = A[combos[:, 0]], A[combos[:, 1]]
-    det = ai[:, 0] * aj[:, 1] - ai[:, 1] * aj[:, 0]
-    ok = np.abs(det) > 1e-12
-    with np.errstate(divide="ignore", invalid="ignore"):
-        wi = (aj[:, 1] * c[0] - aj[:, 0] * c[1]) / det
-        wj = (ai[:, 0] * c[1] - ai[:, 1] * c[0]) / det
-    ok &= (wi > 1e-12) & (wj > 1e-12)
-    supports = combos[ok]
-    weights = np.column_stack([wi[ok], wj[ok]])
-    r = weights.sum(axis=1)
-    shrunk = c[None, :] / r[:, None]
-    gap_i = np.linalg.norm(A[supports[:, 0]] - shrunk, axis=1)
-    gap_j = np.linalg.norm(A[supports[:, 1]] - shrunk, axis=1)
-    costs = weights[:, 0] * gap_i + weights[:, 1] * gap_j
-
-    dots = A @ c
-    aligned = np.linalg.norm(dots[:, None] * A - c[None, :], axis=1) <= 1e-9
-    aligned &= dots > 1e-12
-    for i in np.nonzero(aligned)[0]:
-        supports = np.vstack([supports, [i, i]])
-        weights = np.vstack([weights, [dots[i], 0.0]])
-        costs = np.append(costs, dots[i] * np.linalg.norm(A[i] - c / dots[i]))
-    return supports, weights, costs
-
-
-def _direction_cost_2d(ns, c):
-    supports, weights, costs = _pair_representations_2d(ns, c)
-    if costs.size == 0:
-        raise NumericalFailure("direction admits no dual representation")
-    order = np.argsort(costs)
-    best = float(costs[order[0]])
-    leaders = []
-    for idx in order[:4]:
-        sup = supports[idx]
-        if sup[0] == sup[1]:
-            leaders.append(((int(sup[0]),), (float(weights[idx, 0]),)))
-        else:
-            leaders.append(((int(sup[0]), int(sup[1])),
-                            tuple(float(w) for w in weights[idx])))
-    for a in range(len(leaders)):
-        for b in range(a + 1, len(leaders)):
-            best = min(best, _mixture_minimum(ns, c, leaders[a], leaders[b]))
-    return best
-
-
-def _direction_cost(ns, c, pool=None):
-    if ns.dimension == 2 and pool is None:
-        return _direction_cost_2d(ns, c)
-    vertices = dual_vertices_for_direction(ns, c, pool=pool)
+def _direction_cost(ns, c):
+    # Unguarded: estimate_kappa applies the d = 3 guard before enumerating.
+    vertices = dual_vertices_for_direction(ns, c, allow_large=True)
     if not vertices:
         raise NumericalFailure("direction admits no dual representation")
     costs = sorted((_representation_cost(ns, c, v.support, v.weights), i)
@@ -232,16 +181,14 @@ def _direction_cost(ns, c, pool=None):
     best = costs[0][0]
     leaders = [(vertices[i].support, vertices[i].weights)
                for _, i in costs[:4]]
-    for a in range(len(leaders)):
-        for b in range(a + 1, len(leaders)):
-            best = min(best, _mixture_minimum(ns, c, leaders[a], leaders[b]))
+    for rep_a, rep_b in itertools.combinations(leaders, 2):
+        best = min(best, _mixture_minimum(ns, c, rep_a, rep_b))
     return best
 
 
 def _subset_solvers(ns):
     """Per subset size: (normals rows, equation matrix, pseudoinverse) for
     every linearly independent index subset, precomputed once."""
-    from .cone import INDEP_TOL
     data = []
     for size in range(1, ns.dimension + 1):
         combos = _combinations_array(ns.count, size)
@@ -254,30 +201,40 @@ def _subset_solvers(ns):
     return data
 
 
-def _vertex_cost_minima(ns, dirs, solvers, chunk=32):
+def _vertex_cost_minima(ns, dirs, solvers, block=65_536):
     """Per direction, the cheapest cost over all dual vertices (supports of
-    every independent subset), fully batched."""
+    every independent subset).  Blocks hold about `block` (direction,
+    subset) entries; costs are formed only on the entries with a strictly
+    positive exact representation."""
     out = np.full(dirs.shape[0], np.inf)
+    chunk = max(1, block // max(len(pinv) for _, _, pinv in solvers))
     for start in range(0, dirs.shape[0], chunk):
         C = dirs[start:start + chunk]
-        best = np.full(C.shape[0], np.inf)
         for rows, E, pinv in solvers:
             W = np.einsum("psd,cd->cps", pinv, C)
-            resid = np.einsum("pds,cps->cpd", E, W) - C[:, None, :]
-            valid = (np.abs(resid).max(axis=2) <= 1e-9) & \
-                    (W > 1e-12).all(axis=2)
-            if not valid.any():
-                continue
-            r = W.sum(axis=2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                shrunk = C[:, None, :] / r[:, :, None]
-                gaps = np.linalg.norm(rows[None, :, :, :] - shrunk[:, :, None, :],
-                                      axis=3)
-                costs = (W * gaps).sum(axis=2)
-            costs[~valid] = np.inf
-            best = np.minimum(best, costs.min(axis=1))
-        out[start:start + chunk] = best
+            ci, pi = np.nonzero((W > 1e-12).all(axis=2))
+            w = W[ci, pi]
+            resid = np.einsum("eds,es->ed", E[pi], w) - C[ci]
+            exact = np.abs(resid).max(axis=1) <= 1e-9
+            ci, pi, w = ci[exact], pi[exact], w[exact]
+            shrunk = C[ci] / w.sum(axis=1)[:, None]
+            gaps = np.linalg.norm(rows[pi] - shrunk[:, None, :], axis=2)
+            np.minimum.at(out, start + ci, (w * gaps).sum(axis=1))
     return out
+
+
+def _kappa_directions(ns, samples):
+    """The directions estimate_kappa maximizes over: in d=2 `samples`
+    uniform angles plus every adjacent-pair angular midpoint, in d=3 a
+    Fibonacci sphere."""
+    if ns.dimension == 2:
+        angles = np.sort(ns.angles())
+        mids = angles + np.diff(np.append(angles, angles[0] + 2 * np.pi)) / 2.0
+        thetas = np.concatenate([2 * np.pi * np.arange(samples) / samples, mids])
+        return np.column_stack([np.cos(thetas), np.sin(thetas)])
+    if ns.dimension == 3:
+        return fibonacci_sphere(samples)
+    raise BadDimension("kappa estimation covers d in {2, 3}")
 
 
 def estimate_kappa(ns: NormalSystem, samples: int | None = None) -> float:
@@ -286,11 +243,14 @@ def estimate_kappa(ns: NormalSystem, samples: int | None = None) -> float:
     the per-direction value over-estimates the true infimum.  Reported as
     an estimate, not a certificate.
 
-    d=2 sampling includes all adjacent-pair angular midpoints, where the
-    supremum sits for evenly spread systems.  d=3 batches the vertex
-    minima over precomputed subset solvers and refines with mixtures only
-    the directions that could carry the supremum (mixtures never increase
-    a per-direction value).
+    The dimension picks only the directions: in d=2, `samples` uniform
+    angles plus every adjacent-pair angular midpoint, where the supremum
+    sits for evenly spread systems; in d=3, a Fibonacci sphere.  Both then
+    batch the vertex minima over precomputed subset solvers and refine
+    with mixtures only the directions that could carry the supremum
+    (mixtures never increase a per-direction value, so the pruned maximum
+    equals the full one).  d=3 is refused above SIZE_GUARDS[3] before any
+    subset is enumerated; d=2 is unguarded.
     """
     d = ns.dimension
     if samples is None:
@@ -299,15 +259,9 @@ def estimate_kappa(ns: NormalSystem, samples: int | None = None) -> float:
         raise ValueError(f"need at least {MIN_SAMPLES[d]} samples for d={d}")
     if not check_bounded(ns):
         raise UnboundedSpace("kappa requires a space of polytopes")
-    if d == 2:
-        angles = np.sort(ns.angles())
-        mids = angles + np.diff(np.append(angles, angles[0] + 2 * np.pi)) / 2.0
-        thetas = np.concatenate([2 * np.pi * np.arange(samples) / samples, mids])
-        dirs = np.column_stack([np.cos(thetas), np.sin(thetas)])
-        return max(_direction_cost(ns, c) for c in dirs)
-    if d != 3:
-        raise BadDimension("kappa estimation covers d in {2, 3}")
-    dirs = fibonacci_sphere(samples)
+    if d == 3:
+        _size_guard(ns, allow_large=False)
+    dirs = _kappa_directions(ns, samples)
     vertex_minima = _vertex_cost_minima(ns, dirs, _subset_solvers(ns))
     if not np.isfinite(vertex_minima).all():
         raise NumericalFailure("a direction admits no dual representation")

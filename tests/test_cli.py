@@ -147,6 +147,18 @@ def test_constants_output(tmp_path, capsys):
     assert payload["rho_bound"] == pytest.approx(np.sqrt(2))
 
 
+def test_constants_refused_by_the_size_guard(tmp_path, capsys, monkeypatch):
+    import polygal.cone as cone_module
+    from polygal import spherical_grid_normals
+
+    monkeypatch.setitem(cone_module.SIZE_GUARDS, 3, 20)
+    normals = tmp_path / "grid.json"
+    serialize.write_json(normals, {"schema_version": 1, "d": 3,
+                                   "rows": spherical_grid_normals(3, 2).matrix})
+    assert run_cli("constants", "--normals", str(normals)) == 1
+    assert "guard" in capsys.readouterr().err
+
+
 def test_optimize_results_and_determinism(tmp_path):
     problem = {
         "schema_version": 1,

@@ -1,13 +1,95 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+import polygal.cone as cone_module
+import polygal.galerkin as galerkin_module
 from polygal import (BadDimension, BadLevel, ExteriorCoordinates,
-                     GalerkinSequence, adjacent_rho, classify,
-                     compile_cone, embed_coordinates, estimate_delta,
-                     estimate_kappa, kappa_rho_bound, project_coords,
-                     project_interior, spherical_grid_normals)
+                     GalerkinSequence, NumericalFailure, adjacent_rho,
+                     classify, compile_cone, embed_coordinates,
+                     estimate_delta, estimate_kappa, kappa_rho_bound,
+                     project_coords, project_interior,
+                     spherical_grid_normals, validate_normals)
+from polygal.galerkin import (_kappa_directions, _mixture_minimum,
+                              _subset_solvers, _vertex_cost_minima)
+from polygal.lp import _combinations_array
+from polygal.spheres import fibonacci_sphere
 
-from conftest import random_point_hull, regular_normals
+from conftest import (TRANSFORMS, random_point_hull, regular_normals,
+                      transformed_grid)
+
+
+def dense_vertex_cost_minima(ns, dirs, solvers, chunk=32):
+    """Reference vertex-cost kernel: forms the cost of every (direction,
+    subset) pair, then masks the pairs without a strictly positive exact
+    representation."""
+    out = np.full(dirs.shape[0], np.inf)
+    for start in range(0, dirs.shape[0], chunk):
+        C = dirs[start:start + chunk]
+        best = np.full(C.shape[0], np.inf)
+        for rows, E, pinv in solvers:
+            W = np.einsum("psd,cd->cps", pinv, C)
+            resid = np.einsum("pds,cps->cpd", E, W) - C[:, None, :]
+            valid = (np.abs(resid).max(axis=2) <= 1e-9) & \
+                    (W > 1e-12).all(axis=2)
+            if not valid.any():
+                continue
+            r = W.sum(axis=2)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                shrunk = C[:, None, :] / r[:, :, None]
+                gaps = np.linalg.norm(rows[None, :, :, :] - shrunk[:, :, None, :],
+                                      axis=3)
+                costs = (W * gaps).sum(axis=2)
+            costs[~valid] = np.inf
+            best = np.minimum(best, costs.min(axis=1))
+        out[start:start + chunk] = best
+    return out
+
+
+def planar_direction_cost(ns, c):
+    """Reference d = 2 cost of one direction: the cheapest strictly positive
+    two-normal (or aligned one-normal) representation, improved by
+    two-point mixtures of the four cheapest."""
+    A = ns.matrix
+    combos = _combinations_array(ns.count, 2)
+    ai, aj = A[combos[:, 0]], A[combos[:, 1]]
+    det = ai[:, 0] * aj[:, 1] - ai[:, 1] * aj[:, 0]
+    ok = np.abs(det) > 1e-12
+    with np.errstate(divide="ignore", invalid="ignore"):
+        wi = (aj[:, 1] * c[0] - aj[:, 0] * c[1]) / det
+        wj = (ai[:, 0] * c[1] - ai[:, 1] * c[0]) / det
+    ok &= (wi > 1e-12) & (wj > 1e-12)
+    supports = combos[ok]
+    weights = np.column_stack([wi[ok], wj[ok]])
+    shrunk = c[None, :] / weights.sum(axis=1)[:, None]
+    gap_i = np.linalg.norm(A[supports[:, 0]] - shrunk, axis=1)
+    gap_j = np.linalg.norm(A[supports[:, 1]] - shrunk, axis=1)
+    costs = weights[:, 0] * gap_i + weights[:, 1] * gap_j
+
+    dots = A @ c
+    aligned = np.linalg.norm(dots[:, None] * A - c[None, :], axis=1) <= 1e-9
+    aligned &= dots > 1e-12
+    for i in np.nonzero(aligned)[0]:
+        supports = np.vstack([supports, [i, i]])
+        weights = np.vstack([weights, [dots[i], 0.0]])
+        costs = np.append(costs, dots[i] * np.linalg.norm(A[i] - c / dots[i]))
+    if costs.size == 0:
+        raise NumericalFailure("direction admits no dual representation")
+
+    order = np.argsort(costs)
+    best = float(costs[order[0]])
+    leaders = []
+    for idx in order[:4]:
+        sup = supports[idx]
+        if sup[0] == sup[1]:
+            leaders.append(((int(sup[0]),), (float(weights[idx, 0]),)))
+        else:
+            leaders.append(((int(sup[0]), int(sup[1])),
+                            tuple(float(w) for w in weights[idx])))
+    for a in range(len(leaders)):
+        for b in range(a + 1, len(leaders)):
+            best = min(best, _mixture_minimum(ns, c, leaders[a], leaders[b]))
+    return best
 
 
 def test_planar_grids():
@@ -147,3 +229,69 @@ def test_finer_projections_nest():
                                    with_realization=True).realization
         support_on_coarse = (coarse.matrix @ fine_real.vertices.T).max(axis=1)
         assert (support_on_coarse <= b_coarse + 1e-9).all()
+
+
+def assert_kernel_matches_dense(ns, dirs):
+    solvers = _subset_solvers(ns)
+    sparse = _vertex_cost_minima(ns, dirs, solvers)
+    assert np.isfinite(sparse).all()
+    assert sparse.tobytes() == dense_vertex_cost_minima(ns, dirs,
+                                                        solvers).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sparse_kernel_is_bitwise_dense_d3(seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    ns = validate_normals(spherical_grid_normals(3, 2).matrix @ q.T)
+    # Every 20th direction of the kappa sample keeps the dense reference,
+    # which forms the cost of about 2,600 subsets per direction, cheap.
+    assert_kernel_matches_dense(ns, fibonacci_sphere(10_000)[::20])
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5])
+@pytest.mark.parametrize("transform", TRANSFORMS)
+def test_sparse_kernel_is_bitwise_dense_planar(level, transform):
+    ns = transformed_grid(level, transform, seed=level)
+    assert_kernel_matches_dense(ns, _kappa_directions(ns, 1024))
+
+
+@st.composite
+def bounded_planar_systems(draw):
+    """Irregular systems of 3 to 24 normals whose angular gaps stay below
+    pi - 0.05, or a planar grid of level 2 to 4 under one of TRANSFORMS."""
+    if draw(st.booleans()):
+        return transformed_grid(draw(st.integers(2, 4)),
+                                draw(st.sampled_from(TRANSFORMS)),
+                                draw(st.integers(0, 2**32 - 1)))
+    angles = np.sort(draw(st.lists(st.floats(0.0, 2.0 * np.pi),
+                                   min_size=3, max_size=24)))
+    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+    assume(gaps.min() > 1e-6 and gaps.max() < np.pi - 0.05)
+    return validate_normals(np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+@settings(max_examples=10, deadline=None)
+@given(bounded_planar_systems())
+@example(regular_normals(3))
+@example(spherical_grid_normals(2, 4))
+def test_planar_kappa_matches_per_direction_reference(ns):
+    reference = max(planar_direction_cost(ns, c)
+                    for c in _kappa_directions(ns, 1024))
+    kappa = estimate_kappa(ns)
+    assert abs(kappa - reference) <= 1e-12 * (1.0 + reference)
+
+
+def test_planar_kappa_is_unguarded(monkeypatch, hexagon_ns):
+    monkeypatch.setitem(cone_module.SIZE_GUARDS, 2, 4)
+    assert estimate_kappa(hexagon_ns) == pytest.approx(1 / np.sqrt(3),
+                                                       abs=1e-12)
+
+
+def test_spatial_kappa_guard_refuses_before_enumerating(monkeypatch):
+    def started(*args, **kwargs):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setitem(cone_module.SIZE_GUARDS, 3, 20)
+    monkeypatch.setattr(galerkin_module, "_subset_solvers", started)
+    with pytest.raises(ValueError):
+        estimate_kappa(spherical_grid_normals(3, 2))
