@@ -16,8 +16,7 @@ from .coordinates import (CoordinateVector, INTERIOR, PolytopeRealization,
                           classify, realize)
 from .errors import (DegenerateBody, EmptyPolytope, NumericalFailure,
                      UnboundedBody, UnboundedRegion)
-from .lp import (LinearProgram, OPTIMAL, UNBOUNDED,
-                 enumerate_primal_vertices, solve_lp)
+from .lp import enumerate_primal_vertices, farkas_feasible
 from .normals import NormalSystem
 from .spheres import covering_mesh, unit_directions
 
@@ -93,23 +92,23 @@ class HalfspacePolytope(ConvexBody):
         self.offsets = np.asarray(self.offsets, dtype=float)
         if self.normals.ndim != 2 or self.normals.shape[0] != self.offsets.shape[0]:
             raise ValueError("inconsistent halfspace description")
-        from .lp import farkas_feasible
         feasible, _ = farkas_feasible(self.normals, self.offsets)
         if not feasible:
             raise ValueError("halfspace description is empty")
 
     def support(self, u):
-        outcome = solve_lp(LinearProgram(np.asarray(u, dtype=float),
-                                         self.normals, self.offsets))
-        if outcome.status == UNBOUNDED:
-            raise UnboundedBody("support is infinite in the given direction")
-        if outcome.status != OPTIMAL:
-            raise NumericalFailure("support LP failed")
-        return float(outcome.value)
+        return float((self._vertices() @ np.asarray(u, dtype=float)).max())
+
+    def support_many(self, U):
+        return (U @ self._vertices().T).max(axis=1)
 
     def _vertices(self):
+        """Vertex array, enumerated once.  Bodies are compact, so an
+        unbounded description raises UnboundedBody in every direction."""
         verts = self._cache.get("vertices")
         if verts is None:
+            if self.normals.shape[0] < self.normals.shape[1]:
+                raise UnboundedBody("halfspace body is unbounded")
             try:
                 found = enumerate_primal_vertices(self.normals, self.offsets)
             except UnboundedRegion as exc:

@@ -170,8 +170,9 @@ def cmd_hausdorff(args):
 
 def cmd_constants(args):
     ns = serialize.normals_from_obj(serialize.read_json(args.normals))
-    delta = estimate_delta(ns, args.samples)
+    # Kappa first: its size guard refuses before delta's sampling runs.
     kappa = estimate_kappa(ns, args.samples)
+    delta = estimate_delta(ns, args.samples)
     rho = adjacent_rho(ns) if ns.dimension == 2 else None
     bound = kappa_rho_bound(rho) if rho is not None else None
     payload = {"schema_version": serialize.SCHEMA_VERSION,

@@ -12,11 +12,9 @@ import numpy as np
 
 from .cone import CompiledCone, DIAMOND
 from .errors import EmptyPolytope, ExteriorCoordinates, NumericalFailure, UnboundedRegion
-from .lp import (LinearProgram, OPTIMAL, UNBOUNDED, VERTEX_DEDUP_TOL,
-                 _combinations_array, _solve_subsystems,
-                 enumerate_primal_vertices, farkas_feasible, feasibility_slack,
-                 solve_lp)
-from .normals import NormalSystem
+from .lp import (VERTEX_DEDUP_TOL, _combinations_array, _solve_subsystems,
+                 enumerate_primal_vertices, farkas_feasible, feasibility_slack)
+from .normals import NormalSystem, check_bounded
 
 UNCLASSIFIED = "unclassified"
 EXTERIOR = "exterior"
@@ -87,26 +85,40 @@ def classify(b, cone: CompiledCone, *, include_pruned=False) -> CoordinateVector
     return CoordinateVector(b, BOUNDARY, tuple(int(i) for i in active))
 
 
+def _vertex_array(ns: NormalSystem, b) -> np.ndarray:
+    """Vertices of {x : Ax <= b} as a (V, d) array.
+
+    A found vertex witnesses nonemptiness, so `farkas_feasible` runs only
+    when none is found.  Raises EmptyPolytope for an empty region and
+    UnboundedRegion for a nonempty one when `ns` spans no polytopes (its
+    recession cone {Ax <= 0} is then nontrivial); a bounded system that
+    yields no vertex yet is feasible is a NumericalFailure.
+    """
+    if not check_bounded(ns):
+        if farkas_feasible(ns.matrix, b)[0]:
+            raise UnboundedRegion("right-hand side describes an unbounded set")
+        raise EmptyPolytope("right-hand side describes the empty set")
+    try:
+        found = enumerate_primal_vertices(ns.matrix, b, assume_bounded=True)
+    except UnboundedRegion as exc:
+        raise NumericalFailure("feasible bounded region has no vertex") from exc
+    if not found:
+        raise EmptyPolytope("right-hand side describes the empty set")
+    return np.array([v for v, _ in found])
+
+
 def canonicalize(b_tilde, ns: NormalSystem) -> CoordinateVector:
     """Minimal right-hand side describing the same polyhedron.
 
-    Computes b_i = max{a_i . x : Ax <= b_tilde} for every row; the result is
-    the unique admissible representative and satisfies b <= b_tilde.
+    Computes b_i = max{a_i . x : Ax <= b_tilde} for every row as the
+    largest a_i . v over the vertices v of the region (exhaustive
+    enumeration of its C(N, d) row subsets); the result is the unique
+    admissible representative and satisfies b <= b_tilde.
     """
     b_tilde = np.asarray(b_tilde, dtype=float)
-    feasible, _ = farkas_feasible(ns.matrix, b_tilde)
-    if not feasible:
-        raise EmptyPolytope("right-hand side describes the empty set")
-    b = np.empty(ns.count)
-    for i in range(ns.count):
-        outcome = solve_lp(LinearProgram(ns.matrix[i], ns.matrix, b_tilde))
-        if outcome.status == UNBOUNDED:
-            raise UnboundedRegion(
-                f"support value in direction {i} is unbounded")
-        if outcome.status != OPTIMAL:
-            raise NumericalFailure("canonicalization subproblem failed")
-        b[i] = outcome.value
-    return CoordinateVector(np.minimum(b, b_tilde))
+    vertices = _vertex_array(ns, b_tilde)
+    return CoordinateVector(np.minimum((ns.matrix @ vertices.T).max(axis=1),
+                                       b_tilde))
 
 
 def realize(b, cone: CompiledCone, *, precomputed_class=None) -> PolytopeRealization:

@@ -13,12 +13,13 @@ import itertools
 import numpy as np
 
 from .cone import INDEP_TOL, _size_guard, dual_vertices_for_direction
-from .coordinates import CoordinateVector, EXTERIOR, UNCLASSIFIED, canonicalize, classify
+from .coordinates import (CoordinateVector, EXTERIOR, UNCLASSIFIED,
+                          _vertex_array, classify, realize)
 from .errors import (BadDimension, BadLevel, EmptyPolytope,
                      ExteriorCoordinates, NumericalFailure, UnboundedSpace)
-from .lp import LinearProgram, OPTIMAL, _combinations_array, solve_lp
+from .lp import _combinations_array
 from .normals import NormalSystem, check_bounded, validate_normals
-from .spheres import fibonacci_sphere, sphere_mesh_estimate
+from .spheres import fibonacci_mesh, fibonacci_sphere
 
 MIN_SAMPLES = {2: 1000, 3: 10_000}
 
@@ -140,8 +141,7 @@ def estimate_delta(ns: NormalSystem, samples: int | None = None) -> float:
         dots = np.clip(block @ ns.matrix.T, -1.0, 1.0)
         nearest = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * dots.max(axis=1)))
         worst = max(worst, float(nearest.max()))
-    mesh = sphere_mesh_estimate(dirs)
-    return worst + mesh
+    return worst + fibonacci_mesh(samples)
 
 
 def _representation_cost(ns, c, support, weights):
@@ -294,8 +294,10 @@ def embed_coordinates(b, seq: GalerkinSequence, from_level: int,
     """Coordinates of a coarse-level polytope inside a finer level.
 
     Shared rows are copied; each new row gets the support value of the
-    coarse polytope (one LP per row).  The result always lands on the
-    boundary of the fine cone.
+    coarse polytope, max_v a_i . v over its vertices.  With `coarse_cone`
+    the vertices come from `realize` (in d = 2 usually its O(N) path);
+    without it, from the enumeration that checks `b` is minimal.  The
+    result always lands on the boundary of the fine cone.
     """
     if from_level >= to_level:
         raise ValueError("target level must be finer than the source")
@@ -306,25 +308,24 @@ def embed_coordinates(b, seq: GalerkinSequence, from_level: int,
         raise ValueError("coordinate length does not match the source level")
 
     if coarse_cone is not None:
-        if classify(b, coarse_cone).classification == EXTERIOR:
+        cv = classify(b, coarse_cone)
+        if cv.classification == EXTERIOR:
             raise ExteriorCoordinates("source coordinates are not admissible")
+        vertices = realize(b, coarse_cone, precomputed_class=cv).vertices
     else:
         try:
-            canonical = canonicalize(b, coarse)
+            vertices = _vertex_array(coarse, b)
         except EmptyPolytope as exc:
             raise ExteriorCoordinates("source coordinates are infeasible") from exc
+        support = (coarse.matrix @ vertices.T).max(axis=1)
         tol = 1e-7 * (1.0 + float(np.abs(b).max()))
-        if np.abs(canonical.b - b).max() > tol:
+        if (b - support).max() > tol:
             raise ExteriorCoordinates("source coordinates are not minimal")
 
     mapping = seq.row_map(from_level, to_level)
+    new_rows = np.ones(fine.count, dtype=bool)
+    new_rows[mapping] = False
     fine_b = np.empty(fine.count)
-    copied = np.zeros(fine.count, dtype=bool)
     fine_b[mapping] = b
-    copied[mapping] = True
-    for i in np.nonzero(~copied)[0]:
-        outcome = solve_lp(LinearProgram(fine.matrix[i], coarse.matrix, b))
-        if outcome.status != OPTIMAL:
-            raise NumericalFailure("embedding support LP did not solve")
-        fine_b[i] = outcome.value
+    fine_b[new_rows] = (fine.matrix[new_rows] @ vertices.T).max(axis=1)
     return CoordinateVector(fine_b, UNCLASSIFIED)

@@ -1,5 +1,7 @@
 """Deterministic unit-direction samplers with covering-radius information."""
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -38,6 +40,12 @@ def sphere_mesh_estimate(points: np.ndarray, probe_factor: int = 4) -> float:
     return worst
 
 
+@lru_cache(maxsize=8)
+def fibonacci_mesh(m: int) -> float:
+    """`sphere_mesh_estimate` of `fibonacci_sphere(m)`, cached per m."""
+    return sphere_mesh_estimate(fibonacci_sphere(m))
+
+
 def unit_directions(d: int, m: int) -> np.ndarray:
     if d == 2:
         return circle_directions(m)
@@ -47,8 +55,8 @@ def unit_directions(d: int, m: int) -> np.ndarray:
 
 
 def covering_mesh(d: int, directions: np.ndarray) -> float:
-    """Covering radius of a direction sample; exact for the planar grid,
-    probe-estimated on the sphere."""
+    """Covering radius of a `unit_directions(d, m)` sample; exact for the
+    planar grid, probe-estimated on the sphere."""
     if d == 2:
         return circle_mesh(directions.shape[0])
-    return sphere_mesh_estimate(directions)
+    return fibonacci_mesh(directions.shape[0])

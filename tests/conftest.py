@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, strategies as st
 
 from polygal import compile_cone, spherical_grid_normals, validate_normals
 
@@ -29,6 +30,33 @@ def transformed_grid(level, transform, seed):
     elif transform == "permutation":
         m = m[rng.permutation(m.shape[0])]
     return validate_normals(m)
+
+
+def rotated_grid_3d(level, seed):
+    """The d = 3 grid normals of `level` under a seeded rotation, applied
+    row by row so that levels rotated by one seed stay nested bitwise."""
+    q, r = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    m = spherical_grid_normals(3, level).matrix
+    return validate_normals(np.column_stack(
+        [q[i, 0] * m[:, 0] + q[i, 1] * m[:, 1] + q[i, 2] * m[:, 2]
+         for i in range(3)]))
+
+
+@st.composite
+def bounded_planar_systems(draw, max_level=4):
+    """Irregular systems of 3 to 24 normals whose angular gaps stay below
+    pi - 0.05, or a planar grid of level 2 to `max_level` under one of
+    TRANSFORMS."""
+    if draw(st.booleans()):
+        return transformed_grid(draw(st.integers(2, max_level)),
+                                draw(st.sampled_from(TRANSFORMS)),
+                                draw(st.integers(0, 2**32 - 1)))
+    angles = np.sort(draw(st.lists(st.floats(0.0, 2.0 * np.pi),
+                                   min_size=3, max_size=24)))
+    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
+    assume(gaps.min() > 1e-6 and gaps.max() < np.pi - 0.05)
+    return validate_normals(np.column_stack([np.cos(angles), np.sin(angles)]))
 
 
 @pytest.fixture(scope="session")

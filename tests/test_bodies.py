@@ -38,8 +38,11 @@ def test_halfspace_body(square_ns):
     assert body.norm() == pytest.approx(np.sqrt(2), abs=1e-9)
     open_strip = HalfspacePolytope(np.array([[1.0, 0.0], [-1.0, 0.0]]),
                                    np.ones(2))
-    with pytest.raises(UnboundedBody):
-        support(open_strip, [0, 1])
+    # A body is compact, so an unbounded description is refused in every
+    # direction, including those in which its support is finite.
+    for u in ([0, 1], [1, 0]):
+        with pytest.raises(UnboundedBody):
+            support(open_strip, u)
     with pytest.raises(UnboundedBody):
         open_strip.norm()
     with pytest.raises(ValueError):

@@ -148,15 +148,21 @@ def test_constants_output(tmp_path, capsys):
 
 
 def test_constants_refused_by_the_size_guard(tmp_path, capsys, monkeypatch):
+    import polygal.cli as cli_module
     import polygal.cone as cone_module
     from polygal import spherical_grid_normals
 
+    # The guard refuses before delta's sphere sampling is paid for.
+    delta_calls = []
+    monkeypatch.setattr(cli_module, "estimate_delta",
+                        lambda *args: delta_calls.append(args))
     monkeypatch.setitem(cone_module.SIZE_GUARDS, 3, 20)
     normals = tmp_path / "grid.json"
     serialize.write_json(normals, {"schema_version": 1, "d": 3,
                                    "rows": spherical_grid_normals(3, 2).matrix})
     assert run_cli("constants", "--normals", str(normals)) == 1
     assert "guard" in capsys.readouterr().err
+    assert delta_calls == []
 
 
 def test_optimize_results_and_determinism(tmp_path):

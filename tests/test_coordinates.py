@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polygal import (EmptyPolytope, ExteriorCoordinates,
-                     canonicalize, classify, compile_cone, diagnose_boundary,
-                     enumerate_primal_vertices, facet_dimension,
-                     hausdorff_polytopes, perimeter_2d, polygon_area,
-                     project_interior, realize, support_coordinates)
+from polygal import (EmptyPolytope, ExteriorCoordinates, LinearProgram,
+                     UnboundedRegion, canonicalize, classify, compile_cone,
+                     diagnose_boundary, enumerate_primal_vertices,
+                     facet_dimension, farkas_feasible, hausdorff_polytopes,
+                     perimeter_2d, polygon_area, project_interior, realize,
+                     solve_lp, support_coordinates, validate_normals)
 from polygal.coordinates import (facet_lengths_2d, phi_expansion_ratio,
                                  planar_forms)
+from polygal.lp import OPTIMAL
 
-from conftest import random_point_hull, regular_normals
+from conftest import (bounded_planar_systems, random_point_hull,
+                      regular_normals, rotated_grid_3d)
 
 
 def interior_sample(rng, cone, radius=1.0):
@@ -47,6 +51,80 @@ def test_canonical_minimality_random(hexagon_ns, hexagon_cone):
         cv = canonicalize(b_tilde, hexagon_ns)
         assert (cv.b <= b_tilde + 1e-9).all()
         assert classify(cv.b, hexagon_cone).classification != "exterior"
+
+
+def lp_canonicalize(b_tilde, ns):
+    """Reference canonicalization: a Farkas test, then one simplex LP per
+    row, max{a_i . x : Ax <= b_tilde}."""
+    b_tilde = np.asarray(b_tilde, dtype=float)
+    if not farkas_feasible(ns.matrix, b_tilde)[0]:
+        raise EmptyPolytope("right-hand side describes the empty set")
+    b = np.empty(ns.count)
+    for i in range(ns.count):
+        outcome = solve_lp(LinearProgram(ns.matrix[i], ns.matrix, b_tilde))
+        assert outcome.status == OPTIMAL
+        b[i] = outcome.value
+    return np.minimum(b, b_tilde)
+
+
+@st.composite
+def loose_coordinates(draw):
+    """(ns, b_tilde): a bounded planar system (grid levels up to 5) or the
+    d = 3 grid level 2 under a seeded rotation, with the support values of
+    a seeded hull of 1 to 6 points loosened row by row by U[0, s]."""
+    if draw(st.integers(0, 3)) == 0:
+        ns = rotated_grid_3d(2, draw(st.integers(0, 2**32 - 1)))
+    else:
+        ns = draw(bounded_planar_systems(max_level=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 7)), ns.dimension))
+    loosen = rng.uniform(0.0, draw(st.sampled_from([0.5, 2.0])), ns.count)
+    return ns, (ns.matrix @ points.T).max(axis=1) + loosen
+
+
+_CONES = {}
+
+
+def cone_of(ns):
+    """compile_cone, memoized on the matrix: the drawn grids repeat."""
+    key = ns.matrix.tobytes()
+    if key not in _CONES:
+        _CONES[key] = compile_cone(ns)
+    return _CONES[key]
+
+
+@settings(max_examples=25, deadline=None)
+@given(loose_coordinates())
+def test_canonicalize_matches_lp_oracle(case):
+    ns, b_tilde = case
+    got = canonicalize(b_tilde, ns).b
+    tol = 1e-12 * (1.0 + np.abs(b_tilde).max())
+    assert np.abs(got - lp_canonicalize(b_tilde, ns)).max() <= tol
+
+
+def test_canonicalize_refuses_empty_and_unbounded(square_ns):
+    empty = np.array([1.0, 1.0, -2.0, 1.0])
+    with pytest.raises(EmptyPolytope):
+        lp_canonicalize(empty, square_ns)
+    with pytest.raises(EmptyPolytope):
+        canonicalize(empty, square_ns)
+    # Each row's own LP is bounded by its offset, so support values exist
+    # even here; canonicalize refuses because a fan spans no polytopes.
+    angles = np.array([0.0, np.pi / 6, np.pi / 3])
+    fan = validate_normals(np.column_stack([np.cos(angles), np.sin(angles)]))
+    with pytest.raises(UnboundedRegion):
+        canonicalize(np.ones(3), fan)
+
+
+@settings(max_examples=15, deadline=None)
+@given(loose_coordinates())
+def test_canonical_coordinates_round_trip_and_are_idempotent(case):
+    ns, b_tilde = case
+    canon = canonicalize(b_tilde, ns).b
+    tol = 1e-12 * (1.0 + np.abs(canon).max())
+    assert np.abs(canonicalize(canon, ns).b - canon).max() <= tol
+    again = support_coordinates(realize(canon, cone_of(ns)))
+    assert np.abs(again - canon).max() <= 1e-9 * (1.0 + np.abs(canon).max())
 
 
 def test_realize_examples(square_cone, hexagon_cone):

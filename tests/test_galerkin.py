@@ -1,22 +1,24 @@
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import polygal.cone as cone_module
+import polygal.coordinates as coordinates_module
 import polygal.galerkin as galerkin_module
+import polygal.lp as lp_module
 from polygal import (BadDimension, BadLevel, ExteriorCoordinates,
-                     GalerkinSequence, NumericalFailure, adjacent_rho,
-                     classify, compile_cone, embed_coordinates,
-                     estimate_delta, estimate_kappa, kappa_rho_bound,
-                     project_coords, project_interior,
-                     spherical_grid_normals, validate_normals)
+                     GalerkinSequence, LinearProgram, NumericalFailure,
+                     adjacent_rho, canonicalize, classify, compile_cone,
+                     embed_coordinates, estimate_delta, estimate_kappa,
+                     kappa_rho_bound, project_coords, project_interior,
+                     solve_lp, spherical_grid_normals, validate_normals)
 from polygal.galerkin import (_kappa_directions, _mixture_minimum,
                               _subset_solvers, _vertex_cost_minima)
-from polygal.lp import _combinations_array
+from polygal.lp import OPTIMAL, _combinations_array
 from polygal.spheres import fibonacci_sphere
 
-from conftest import (TRANSFORMS, random_point_hull, regular_normals,
-                      transformed_grid)
+from conftest import (TRANSFORMS, bounded_planar_systems, random_point_hull,
+                      regular_normals, rotated_grid_3d, transformed_grid)
 
 
 def dense_vertex_cost_minima(ns, dirs, solvers, chunk=32):
@@ -216,6 +218,97 @@ def test_boundary_landing_random():
         assert (fine_matrix.T @ embedded.b).min() <= 1e-8
 
 
+def lp_embed_coordinates(b, seq, from_level, to_level):
+    """Reference embedding: shared rows copied, one simplex LP per new
+    row, max{a_i . x : A_coarse x <= b}."""
+    coarse, fine = seq.levels[from_level], seq.levels[to_level]
+    mapping = seq.row_map(from_level, to_level)
+    fine_b = np.empty(fine.count)
+    fine_b[mapping] = b
+    for i in np.setdiff1d(np.arange(fine.count), mapping):
+        outcome = solve_lp(LinearProgram(fine.matrix[i], coarse.matrix, b))
+        assert outcome.status == OPTIMAL
+        fine_b[i] = outcome.value
+    return fine_b
+
+
+def nested_grids(d, levels, transform, seed):
+    """Grid levels under one transform; rows are transformed one by one,
+    so the levels stay nested bitwise."""
+    if d == 3:
+        return GalerkinSequence.from_systems(
+            [rotated_grid_3d(k, seed) for k in levels])
+    return GalerkinSequence.from_systems(
+        [transformed_grid(k, transform, seed) for k in levels])
+
+
+@pytest.mark.parametrize("d, levels, transform", [
+    (2, (2, 3), "identity"), (2, (3, 5), "rotation"),
+    (2, (2, 4), "reflection"), (3, (2, 3), "rotation")])
+def test_embed_matches_lp_oracle(d, levels, transform):
+    seq = nested_grids(d, levels, transform, seed=5)
+    coarse_cone = compile_cone(seq.levels[0])
+    rng = np.random.default_rng(23)
+    for k in range(6):
+        hull = random_point_hull(rng, d=d)
+        if k % 2:
+            b = project_interior(hull, coarse_cone, rng.uniform(0.1, 0.4)).coords.b
+        else:
+            # The hull's own support values: boundary coordinates.
+            b = project_coords(hull, seq.levels[0]).coords.b
+        reference = lp_embed_coordinates(b, seq, 0, 1)
+        tol = 1e-12 * (1.0 + np.abs(b).max())
+        for cone in (coarse_cone, None):
+            got = embed_coordinates(b, seq, 0, 1, coarse_cone=cone).b
+            assert np.abs(got - reference).max() <= tol
+
+
+_GRID_CONES = {}
+
+
+def grid_cones(levels, transform):
+    key = (levels, transform)
+    if key not in _GRID_CONES:
+        seq = nested_grids(2, levels, transform, seed=0)
+        _GRID_CONES[key] = (seq, compile_cone(seq.levels[0]),
+                            compile_cone(seq.levels[1]))
+    return _GRID_CONES[key]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from([(2, 3), (3, 4), (2, 4)]),
+       st.sampled_from(["identity", "rotation", "reflection"]),
+       st.integers(0, 2**32 - 1), st.floats(0.05, 0.5))
+def test_embedding_lands_on_the_fine_boundary(levels, transform, seed, lam):
+    seq, coarse_cone, fine_cone = grid_cones(levels, transform)
+    hull = random_point_hull(np.random.default_rng(seed))
+    b = project_interior(hull, coarse_cone, lam).coords.b
+    for cone in (coarse_cone, None):
+        embedded = embed_coordinates(b, seq, 0, 1, coarse_cone=cone)
+        assert classify(embedded.b, fine_cone).classification == "boundary"
+
+
+def test_support_values_solve_no_lp(monkeypatch):
+    # Boundedness of a level is probed by LPs once and cached on the
+    # system (here by from_grid); after that neither canonicalize nor
+    # embed_coordinates solves an LP or runs a Farkas test on a nonempty
+    # region.
+    seq = GalerkinSequence.from_grid(2, [3, 5])
+    coarse_cone = compile_cone(seq.levels[0])
+    rng = np.random.default_rng(24)
+    b = project_interior(random_point_hull(rng), coarse_cone, 0.2).coords.b
+
+    def refused(*args, **kwargs):
+        raise AssertionError("an LP was solved")
+
+    for module in (lp_module, coordinates_module, galerkin_module):
+        for name in ("solve_lp", "farkas_feasible"):
+            monkeypatch.setattr(module, name, refused, raising=False)
+    canonicalize(b + rng.uniform(0.0, 0.5, b.size), seq.levels[0])
+    embed_coordinates(b, seq, 0, 1)
+    embed_coordinates(b, seq, 0, 1, coarse_cone=coarse_cone)
+
+
 def test_finer_projections_nest():
     seq = GalerkinSequence.from_grid(2, [2, 3])
     coarse, fine = seq.levels
@@ -253,21 +346,6 @@ def test_sparse_kernel_is_bitwise_dense_d3(seed):
 def test_sparse_kernel_is_bitwise_dense_planar(level, transform):
     ns = transformed_grid(level, transform, seed=level)
     assert_kernel_matches_dense(ns, _kappa_directions(ns, 1024))
-
-
-@st.composite
-def bounded_planar_systems(draw):
-    """Irregular systems of 3 to 24 normals whose angular gaps stay below
-    pi - 0.05, or a planar grid of level 2 to 4 under one of TRANSFORMS."""
-    if draw(st.booleans()):
-        return transformed_grid(draw(st.integers(2, 4)),
-                                draw(st.sampled_from(TRANSFORMS)),
-                                draw(st.integers(0, 2**32 - 1)))
-    angles = np.sort(draw(st.lists(st.floats(0.0, 2.0 * np.pi),
-                                   min_size=3, max_size=24)))
-    gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
-    assume(gaps.min() > 1e-6 and gaps.max() < np.pi - 0.05)
-    return validate_normals(np.column_stack([np.cos(angles), np.sin(angles)]))
 
 
 @settings(max_examples=10, deadline=None)
