@@ -234,7 +234,7 @@ def hausdorff_body_vs_polytope(body: ConvexBody, real: PolytopeRealization,
     """
     d = real.dimension
     dirs = unit_directions(d, sphere_samples)
-    mesh = covering_mesh(d, dirs)
+    mesh = covering_mesh(d, sphere_samples)
     sig_body = body.support_many(dirs)
     sig_poly = (dirs @ real.vertices.T).max(axis=1)
     lower = float(np.abs(sig_body - sig_poly).max())

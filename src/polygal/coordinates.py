@@ -13,7 +13,8 @@ import numpy as np
 from .cone import CompiledCone, DIAMOND
 from .errors import EmptyPolytope, ExteriorCoordinates, NumericalFailure, UnboundedRegion
 from .lp import (VERTEX_DEDUP_TOL, _combinations_array, _solve_subsystems,
-                 enumerate_primal_vertices, farkas_feasible, feasibility_slack)
+                 enumerate_primal_vertices, farkas_feasible, feasibility_slack,
+                 vertex_points)
 from .normals import NormalSystem, check_bounded
 
 UNCLASSIFIED = "unclassified"
@@ -86,33 +87,30 @@ def classify(b, cone: CompiledCone, *, include_pruned=False) -> CoordinateVector
 
 
 def _vertex_array(ns: NormalSystem, b) -> np.ndarray:
-    """Vertices of {x : Ax <= b} as a (V, d) array.
+    """Vertices of {x : Ax <= b} as a (V, d) array, from `vertex_points`.
 
-    A found vertex witnesses nonemptiness, so `farkas_feasible` runs only
-    when none is found.  Raises EmptyPolytope for an empty region and
-    UnboundedRegion for a nonempty one when `ns` spans no polytopes (its
-    recession cone {Ax <= 0} is then nontrivial); a bounded system that
-    yields no vertex yet is feasible is a NumericalFailure.
+    A region with a vertex attains every row's maximum at one, bounded or
+    not, since a_i . r <= 0 on its recession cone.  Only when no vertex is
+    found does `farkas_feasible` run: an empty region is EmptyPolytope; a
+    nonempty one contains a line, which is UnboundedRegion when `ns` spans
+    no polytopes and a NumericalFailure when it does.
     """
-    if not check_bounded(ns):
-        if farkas_feasible(ns.matrix, b)[0]:
-            raise UnboundedRegion("right-hand side describes an unbounded set")
+    vertices = vertex_points(ns.matrix, b)
+    if vertices.size:
+        return vertices
+    if not farkas_feasible(ns.matrix, b)[0]:
         raise EmptyPolytope("right-hand side describes the empty set")
-    try:
-        found = enumerate_primal_vertices(ns.matrix, b, assume_bounded=True)
-    except UnboundedRegion as exc:
-        raise NumericalFailure("feasible bounded region has no vertex") from exc
-    if not found:
-        raise EmptyPolytope("right-hand side describes the empty set")
-    return np.array([v for v, _ in found])
+    if check_bounded(ns):
+        raise NumericalFailure("feasible bounded region has no vertex")
+    raise UnboundedRegion("right-hand side describes a set containing a line")
 
 
 def canonicalize(b_tilde, ns: NormalSystem) -> CoordinateVector:
     """Minimal right-hand side describing the same polyhedron.
 
     Computes b_i = max{a_i . x : Ax <= b_tilde} for every row as the
-    largest a_i . v over the vertices v of the region (exhaustive
-    enumeration of its C(N, d) row subsets); the result is the unique
+    largest a_i . v over the vertices v of the region (`vertex_points`:
+    C(N, d - 1) lines clipped by the N rows); the result is the unique
     admissible representative and satisfies b <= b_tilde.
     """
     b_tilde = np.asarray(b_tilde, dtype=float)

@@ -296,8 +296,9 @@ def embed_coordinates(b, seq: GalerkinSequence, from_level: int,
     Shared rows are copied; each new row gets the support value of the
     coarse polytope, max_v a_i . v over its vertices.  With `coarse_cone`
     the vertices come from `realize` (in d = 2 usually its O(N) path);
-    without it, from the enumeration that checks `b` is minimal.  The
-    result always lands on the boundary of the fine cone.
+    without it, from the line clipping of `lp.vertex_points`, which also
+    checks that `b` is minimal.  The result always lands on the boundary
+    of the fine cone.
     """
     if from_level >= to_level:
         raise ValueError("target level must be finer than the source")

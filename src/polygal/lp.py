@@ -3,7 +3,8 @@
 Solves max{c.x : Ax <= b} with a two-phase primal simplex (Bland's rule) run
 on the dual standard form min{b.p : A^T p = c, p >= 0}.  Every outcome carries
 a certificate: an optimal dual vector, or a Farkas vector proving emptiness.
-Also hosts exhaustive vertex enumeration for desk-scale H-polytopes.
+Also hosts exhaustive vertex enumeration for desk-scale H-polytopes, and the
+line-clipping vertex search that support values read.
 """
 
 from dataclasses import dataclass
@@ -22,6 +23,8 @@ _PIVOT_TOL = 1e-10
 _COST_TOL = 1e-9
 RANK_TOL = 1e-10
 VERTEX_DEDUP_TOL = 1e-8
+# Values per block of `vertex_points`' line clipping (rows x lines).
+LINE_BLOCK = 250_000
 
 
 def feasibility_slack(rhs):
@@ -287,6 +290,67 @@ def recession_bounded(A):
             if solve_lp(LinearProgram(c, A, zero)).status == UNBOUNDED:
                 return False
     return True
+
+
+def vertex_points(A, b):
+    """Vertices of {x : Ax <= b} as a (P, d) array, a vertex possibly a few
+    times; empty when the region is empty or contains a line.
+
+    Each vertex ends the segment that the region cuts from a line through
+    it on which d - 1 independent rows hold with equality.  Every such line
+    is clipped by all rows at once, and the row bounding it most tightly on
+    either side closes a d-subset; those subsets are solved and kept when
+    feasible, as in `enumerate_primal_vertices`.  That is C(n, d - 1) clips
+    of n rows, in blocks of about LINE_BLOCK values, instead of C(n, d)
+    subsets each checked against n rows.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n, d = A.shape
+    points = [np.empty((0, d))]
+    if n < d:
+        return points[0]
+    bound = b + feasibility_slack(b)
+    lines_all = _combinations_array(n, d - 1)
+    size = max(1, LINE_BLOCK // n)
+    for start in range(0, lines_all.shape[0], size):
+        lines = lines_all[start:start + size]
+        M = A[lines]
+        # Cofactors: a . u is the determinant of M with the row a appended,
+        # the test `_solve_subsystems` applies, and |u|^2 is det(M M^T).  A
+        # line with |u|^2 <= RANK_TOL is skipped: its vertices close subsets
+        # with |det| <= 1e-5 and also end the lines of their other rows.
+        u = np.stack([(-1) ** j * np.linalg.det(np.delete(M, j, axis=2))
+                      for j in range(d)], axis=1)
+        keep = (u * u).sum(axis=1) > RANK_TOL
+        lines, M, u = lines[keep], M[keep], u[keep]
+        w = np.linalg.solve(M @ M.transpose(0, 2, 1), b[lines][:, :, None])
+        x0 = (M.transpose(0, 2, 1) @ w)[:, :, 0]
+        # On x0 + t u, row k caps t at r_k / g_k from above when g_k > 0
+        # and from below when g_k < 0.
+        g = A @ u.T
+        r = b[:, None] - A @ x0.T
+        upper = np.full(g.shape, np.inf)
+        np.divide(r, g, out=upper, where=g > RANK_TOL)
+        lower = np.full(g.shape, -np.inf)
+        np.divide(r, g, out=lower, where=g < -RANK_TOL)
+        ends = []
+        for t, k in ((upper, upper.argmin(axis=0)),
+                     (lower, lower.argmax(axis=0))):
+            finite = np.isfinite(t[k, np.arange(k.size)])
+            ends.append(np.column_stack([lines[finite], k[finite]]))
+        combos = np.unique(np.sort(np.vstack(ends), axis=1), axis=0)
+        x, ok = _solve_subsystems(A, b, combos)
+        x = x[ok]
+        points.append(x[(A @ x.T <= bound[:, None]).all(axis=0)])
+    points = np.vstack(points)
+    # The subsets closing one vertex agree to rounding, and a degenerate
+    # vertex closes many.  One point per cell of side 1e-13 (1 + |b|_inf)
+    # is kept, which moves a unit row's maximum by at most sqrt(d) times
+    # that side.
+    cells = np.floor(points / (1e-13 * (1.0 + float(np.abs(b).max()))))
+    _, first = np.unique(cells, axis=0, return_index=True)
+    return points[np.sort(first)]
 
 
 def enumerate_primal_vertices(A, b, *, assume_bounded=False):

@@ -54,9 +54,11 @@ def unit_directions(d: int, m: int) -> np.ndarray:
     raise ValueError("direction sampling implemented for d in {2, 3}")
 
 
-def covering_mesh(d: int, directions: np.ndarray) -> float:
-    """Covering radius of a `unit_directions(d, m)` sample; exact for the
+def covering_mesh(d: int, m: int) -> float:
+    """Covering radius of the sample `unit_directions(d, m)`; exact for the
     planar grid, probe-estimated on the sphere."""
     if d == 2:
-        return circle_mesh(directions.shape[0])
-    return fibonacci_mesh(directions.shape[0])
+        return circle_mesh(m)
+    if d == 3:
+        return fibonacci_mesh(m)
+    raise ValueError("direction sampling implemented for d in {2, 3}")

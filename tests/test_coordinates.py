@@ -102,18 +102,48 @@ def test_canonicalize_matches_lp_oracle(case):
     assert np.abs(got - lp_canonicalize(b_tilde, ns)).max() <= tol
 
 
-def test_canonicalize_refuses_empty_and_unbounded(square_ns):
+def test_canonicalize_on_empty_fan_and_strip(square_ns):
     empty = np.array([1.0, 1.0, -2.0, 1.0])
     with pytest.raises(EmptyPolytope):
         lp_canonicalize(empty, square_ns)
     with pytest.raises(EmptyPolytope):
         canonicalize(empty, square_ns)
-    # Each row's own LP is bounded by its offset, so support values exist
-    # even here; canonicalize refuses because a fan spans no polytopes.
+    # The fan spans no polytopes, but its region has a vertex, which
+    # attains every row's maximum.
     angles = np.array([0.0, np.pi / 6, np.pi / 3])
     fan = validate_normals(np.column_stack([np.cos(angles), np.sin(angles)]))
+    b_tilde = np.array([1.0, 2.0, 1.0])
+    got = canonicalize(b_tilde, fan).b
+    assert np.abs(got - lp_canonicalize(b_tilde, fan)).max() <= 1e-12 * 3.0
+    assert got[1] < b_tilde[1]
+    # A strip has no vertex: its support values exist, but the region is
+    # not a polytope.
+    strip = validate_normals(np.array([[0.0, 1.0], [0.0, -1.0]]))
     with pytest.raises(UnboundedRegion):
-        canonicalize(np.ones(3), fan)
+        canonicalize(np.ones(2), strip)
+
+
+def test_canonicalize_matches_lp_oracle_on_d3_grid_level_3():
+    # N = 114: the line clipping runs in several blocks.
+    ns = rotated_grid_3d(3, 5)
+    rng = np.random.default_rng(5)
+    points = rng.uniform(-1.0, 1.0, (6, 3))
+    b_tilde = (ns.matrix @ points.T).max(axis=1) + rng.uniform(0.0, 0.5, ns.count)
+    got = canonicalize(b_tilde, ns).b
+    tol = 1e-12 * (1.0 + np.abs(b_tilde).max())
+    assert np.abs(got - lp_canonicalize(b_tilde, ns)).max() <= tol
+
+
+def test_canonicalize_resolves_a_small_polytope():
+    # A triangle of side 1e-7: merging its vertices would move support
+    # values by about that much.
+    ns = regular_normals(16, offset=0.1)
+    points = np.array([0.3, -0.2]) + 1e-7 * np.array([[0.0, 0.0], [1.0, 0.0],
+                                                      [0.0, 1.0]])
+    b_tilde = (ns.matrix @ points.T).max(axis=1) + np.linspace(0.0, 1e-8, 16)
+    got = canonicalize(b_tilde, ns).b
+    tol = 1e-12 * (1.0 + np.abs(b_tilde).max())
+    assert np.abs(got - lp_canonicalize(b_tilde, ns)).max() <= tol
 
 
 @settings(max_examples=15, deadline=None)

@@ -289,11 +289,11 @@ def test_embedding_lands_on_the_fine_boundary(levels, transform, seed, lam):
 
 
 def test_support_values_solve_no_lp(monkeypatch):
-    # Boundedness of a level is probed by LPs once and cached on the
-    # system (here by from_grid); after that neither canonicalize nor
-    # embed_coordinates solves an LP or runs a Farkas test on a nonempty
-    # region.
+    # Neither canonicalize nor embed_coordinates solves an LP or runs a
+    # Farkas test on a nonempty region, nor probes the boundedness of a
+    # fresh system (from_grid probes its levels before the patch).
     seq = GalerkinSequence.from_grid(2, [3, 5])
+    fresh = validate_normals(seq.levels[0].matrix)
     coarse_cone = compile_cone(seq.levels[0])
     rng = np.random.default_rng(24)
     b = project_interior(random_point_hull(rng), coarse_cone, 0.2).coords.b
@@ -304,7 +304,7 @@ def test_support_values_solve_no_lp(monkeypatch):
     for module in (lp_module, coordinates_module, galerkin_module):
         for name in ("solve_lp", "farkas_feasible"):
             monkeypatch.setattr(module, name, refused, raising=False)
-    canonicalize(b + rng.uniform(0.0, 0.5, b.size), seq.levels[0])
+    canonicalize(b + rng.uniform(0.0, 0.5, b.size), fresh)
     embed_coordinates(b, seq, 0, 1)
     embed_coordinates(b, seq, 0, 1, coarse_cone=coarse_cone)
 

@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import polygal.lp as lp_module
 from polygal import (LinearProgram, UnboundedRegion, check_bounded,
                      enumerate_primal_vertices, farkas_feasible, solve_lp,
                      validate_normals)
+from polygal.lp import VERTEX_DEDUP_TOL, vertex_points
 
-from conftest import regular_normals
+from conftest import bounded_planar_systems, regular_normals, rotated_grid_3d
 
 
 def test_axis_objective_on_unit_square(square_ns):
@@ -120,6 +123,52 @@ def test_vertices_plus_unbounded_direction_raises():
     A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(UnboundedRegion):
         enumerate_primal_vertices(A, np.ones(3))
+
+
+def _nearest(P, Q):
+    """Max-norm distance from each point of P to the nearest point of Q."""
+    best = np.full(P.shape[0], np.inf)
+    for q in Q:
+        best = np.minimum(best, np.abs(P - q).max(axis=1))
+    return best
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_vertex_points_match_enumeration(data):
+    # Systems as in the canonicalize properties; offsets from a hull of 1
+    # to 6 points, tight (degenerate vertices) or loosened.
+    if data.draw(st.integers(0, 3)) == 0:
+        ns = rotated_grid_3d(2, data.draw(st.integers(0, 2**32 - 1)))
+    else:
+        ns = data.draw(bounded_planar_systems(max_level=5))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 7)), ns.dimension))
+    loosen = data.draw(st.sampled_from([0.0, 0.5, 2.0]))
+    b = (ns.matrix @ points.T).max(axis=1) + rng.uniform(0.0, loosen, ns.count)
+    found = vertex_points(ns.matrix, b)
+    vertices = np.array([v for v, _ in enumerate_primal_vertices(ns.matrix, b)])
+    assert _nearest(vertices, found).max() <= VERTEX_DEDUP_TOL
+    assert _nearest(found, vertices).max() <= VERTEX_DEDUP_TOL
+    # One line per block gives the same support values; at a degenerate
+    # vertex a tie may close a different subset, which rounds differently.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "LINE_BLOCK", 1)
+        one_line = vertex_points(ns.matrix, b)
+    support = (ns.matrix @ found.T).max(axis=1)
+    assert np.abs((ns.matrix @ one_line.T).max(axis=1) - support).max() <= \
+        1e-12 * (1.0 + np.abs(b).max())
+
+
+def test_vertex_points_empty_without_a_vertex(square_ns):
+    assert vertex_points(square_ns.matrix, np.array([1.0, 1.0, -2.0, 1.0])).shape == (0, 2)
+    strip = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    assert vertex_points(strip, np.ones(2)).shape == (0, 2)
+    assert vertex_points(strip[:1], np.ones(1)).shape == (0, 2)
+    # The region of a fan is unbounded but has its vertex.
+    fan = np.array([[1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]])
+    assert vertex_points(fan, np.array([1.0, 1.0, 2.0])) == pytest.approx(
+        np.array([[1.0, 1.0]]))
 
 
 def _brute_force_vertices(A, b):
