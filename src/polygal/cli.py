@@ -191,10 +191,7 @@ def cmd_constants(args):
 def cmd_optimize(args):
     problem_obj = serialize.read_json(args.problem)
     problem = serialize.problem_from_obj(problem_obj)
-    if args.tol_scale != 1.0:
-        tol = problem.tolerances
-        tol.feas_eps *= args.tol_scale
-        tol.step_tol *= args.tol_scale
+    problem.tolerances.feas_eps *= args.tol_scale
     result = run_sequence(problem)
     config = _config_echo(args, "optimize")
     config.update({"problem": args.problem, "out": args.out})
@@ -212,7 +209,7 @@ def build_parser():
         description="polytope spaces with prescribed facet normals")
     parser.add_argument("--tol-scale", type=float, default=1.0,
                         dest="tol_scale",
-                        help="multiplier applied to solver tolerances")
+                        help="multiplier applied to the solver's feas_eps")
     parser.add_argument("--json", action="store_true",
                         help="print machine-readable JSON to stdout")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -456,6 +456,44 @@ def facet_measures(real: PolytopeRealization) -> np.ndarray:
     raise ValueError("facet measures implemented for d in {2, 3}")
 
 
+def facet_area_jacobian(real: PolytopeRealization) -> np.ndarray:
+    """Jacobian dF_k / db_j of the facet areas of a d = 3 realization,
+    which is the Hessian of the volume.
+
+    Facets k != j meeting along an edge of length l_kj give l_kj / |a_k x
+    a_j|: moving plane j out by db slides that edge across facet k by
+    db / |a_k x a_j|.  Moving plane k itself slides every edge of facet k
+    by -(a_k . a_j) db / |a_k x a_j|, so the diagonal is the sum of those
+    terms; this is the d = 3 form of the planar Lam of `planar_forms`.
+    Exact where the polytope is simple; elsewhere the volume is only
+    piecewise smooth.
+    """
+    if real.dimension != 3:
+        raise ValueError("the facet-area Jacobian requires d = 3")
+    A = real.normals.matrix
+    n = real.normals.count
+    incidence = np.zeros((real.vertex_count, n), dtype=bool)
+    for v, active in enumerate(real.active_sets):
+        incidence[v, list(active)] = True
+    shared = incidence.T.astype(int) @ incidence
+    k, j = np.nonzero(np.triu(shared >= 2, 1))
+    cross = np.cross(A[k], A[j])
+    sine = np.linalg.norm(cross, axis=1)
+    # Edge kj spans the shared vertices along the line direction a_k x a_j.
+    on_edge = incidence[:, k] & incidence[:, j]
+    proj = real.vertices @ (cross / sine[:, None]).T
+    length = (np.where(on_edge, proj, -np.inf).max(axis=0)
+              - np.where(on_edge, proj, np.inf).min(axis=0))
+    rate = length / sine
+    jac = np.zeros((n, n))
+    jac[k, j] = rate
+    jac[j, k] = rate
+    slide = -np.einsum("pd,pd->p", A[k], A[j]) * rate
+    np.add.at(jac, (k, k), slide)
+    np.add.at(jac, (j, j), slide)
+    return jac
+
+
 def polytope_volume(real: PolytopeRealization) -> float:
     """Volume via the support decomposition V = (1/d) sum_k b_k |facet_k|.
 

@@ -4,9 +4,9 @@ Each level minimizes an objective in coordinates subject to cone membership
 (touching columns only; the nonemptiness conditions are implied by the inner
 box), support boxes from the inner/outer bodies, and shifted functional
 constraints.  Every constraint is a linear row in coordinates: in d = 2 the
-perimeter is w . b (see `coordinates.planar_forms`).  Levels are solved with
-a log-barrier method whose inner loop is gradient descent with backtracking;
-coarse minimizers warm-start finer levels through the embedding.
+perimeter is w . b (see `coordinates.planar_forms`).  Every objective is
+convex on the cone, so each level is solved by one damped Newton barrier
+path from one start, to within a duality gap m / t that the result reports.
 """
 
 from dataclasses import dataclass, field
@@ -17,11 +17,11 @@ import numpy as np
 from .bodies import ConvexBody, project_coords
 from .cone import compile_cone, prune_redundant
 from .coordinates import (CoordinateVector, INTERIOR, PolytopeRealization,
-                          facet_lengths_2d, facet_measures,
-                          hausdorff_polytopes, planar_forms, polytope_volume,
-                          realize)
+                          facet_area_jacobian, facet_lengths_2d,
+                          facet_measures, hausdorff_polytopes, planar_forms,
+                          polytope_volume, realize)
 from .errors import InfeasibleLevel, NumericalFailure
-from .galerkin import GalerkinSequence, embed_coordinates, estimate_kappa
+from .galerkin import GalerkinSequence, estimate_kappa
 from .lp import LinearProgram, OPTIMAL, solve_lp
 
 NEG_VOLUME = "neg_volume"
@@ -77,10 +77,6 @@ class ObjectiveSpec:
             if self.target is not None:
                 self.target = np.asarray(self.target, dtype=float)
 
-    @property
-    def needs_realization(self) -> bool:
-        return self.kind == NEG_VOLUME
-
     def resolve(self, ns) -> "ObjectiveSpec":
         """Concrete per-level spec with vectors sized for the system."""
         if self.kind == LINEAR_SUPPORT:
@@ -111,14 +107,6 @@ class ObjectiveSpec:
         if self.target is None:
             raise ValueError("resolve the objective against a level first")
         return float(np.abs(np.asarray(b) - self.target).max())
-
-    def gradient(self, b, realization=None):
-        """Analytic gradient, or None to request finite differences."""
-        if self.kind == NEG_VOLUME:
-            return -facet_measures(realization)
-        if self.kind == LINEAR_SUPPORT:
-            return self.weights.copy()
-        return None
 
 
 @dataclass
@@ -203,13 +191,11 @@ def shift_constraints(constraints, kappa: float, outer_norm: float):
 
 @dataclass
 class SolverTolerances:
-    mu_init: float = 1.0
-    mu_floor: float = 1e-8
-    mu_factor: float = 0.5
-    step_tol: float = 1e-9
-    max_inner: int = 60
+    """feas_eps: largest row violation, relative to 1 + |h|_inf, that a
+    returned point may show before the level counts as a numerical
+    failure."""
+
     feas_eps: float = 1e-6
-    fd_step: float = 1e-6
 
 
 @dataclass
@@ -246,6 +232,9 @@ class GalerkinProblem:
 
 @dataclass
 class LevelResult:
+    """One solved level.  iterations counts Newton steps, gap is the final
+    barrier's m / t, and start_count is always 1."""
+
     level: int
     row_count: int
     b: np.ndarray
@@ -256,6 +245,7 @@ class LevelResult:
     iterations: int
     wall_ms: float
     start_count: int
+    gap: float
 
 
 @dataclass
@@ -264,171 +254,149 @@ class SequenceResult:
     cross_level: list
 
 
-class _BarrierProblem:
-    """Barrier view of one level: the linear slack rows G b - h > 0 and the
-    objective.  In d = 2 the area is the quadratic form of
-    `coordinates.planar_forms`; otherwise realizations are cached per
-    iterate."""
-
-    def __init__(self, cone, objective, shifted, lower, upper, tol):
-        self.cone = cone
-        self.objective = objective
-        self.tol = tol
-        ns = cone.normal_system
-        n = ns.count
-        rows = [cone.matrix(touching_only=True).T]
-        offsets = [np.zeros(rows[0].shape[0])]
-        eye = np.eye(n)
-        rows.append(eye)
-        offsets.append(lower)
-        rows.append(-eye)
-        offsets.append(-upper)
-        for sc in shifted:
-            if sc.spec.kind == SUPPORT_BOX:
-                if sc.spec.upper is not None:
-                    rows.append(-eye)
-                    offsets.append(-(sc.spec.upper + sc.shift))
-                if sc.spec.lower is not None:
-                    rows.append(eye)
-                    offsets.append(sc.spec.lower - sc.shift)
-                continue
-            if sc.spec.kind == LINEAR_SUPPORT_LE:
-                weights = sc.spec.weights
-            elif ns.dimension == 2:
-                weights = planar_forms(ns)[1]
-            else:
-                raise ValueError("perimeter_le requires d = 2")
-            rows.append(-weights[None, :])
-            offsets.append(np.array([-(sc.spec.limit + sc.shift)]))
-        self.G = np.vstack(rows)
-        self.h = np.concatenate(offsets)
-        self.area_form = (planar_forms(ns)[0] if objective.kind == NEG_VOLUME
-                          and ns.dimension == 2 else None)
-        self.scale = 1.0 + float(np.abs(self.h).max(initial=0.0))
-        self._real_cache = {}
-
-    def lin_slacks(self, b):
-        return self.G @ b - self.h
-
-    def realization(self, b):
-        if not self.objective.needs_realization:
-            return None
-        # Value and gradient evaluations hit the same iterate; cache the
-        # realization keyed by the exact coordinates.
-        key = b.tobytes()
-        real = self._real_cache.get(key)
-        if real is None:
-            cv = CoordinateVector(np.asarray(b, dtype=float), INTERIOR)
-            real = realize(b, self.cone, precomputed_class=cv)
-            if len(self._real_cache) > 8:
-                self._real_cache.clear()
-            self._real_cache[key] = real
-        return real
-
-    def objective_value(self, b):
-        if self.area_form is not None:
-            return -0.5 * float(b @ (self.area_form @ b))
-        return self.objective.value(b, self.realization(b))
-
-    def objective_gradient(self, b):
-        if self.area_form is not None:
-            return -(self.area_form @ b)
-        grad = self.objective.gradient(b, self.realization(b))
-        if grad is not None:
-            return grad
-        h = self.tol.fd_step * (1.0 + float(np.abs(b).max()))
-        grad = np.zeros(b.size)
-        for i in range(b.size):
-            probe = b.copy()
-            probe[i] += h
-            up = self.objective.value(probe, self.realization(probe))
-            probe[i] -= 2 * h
-            dn = self.objective.value(probe, self.realization(probe))
-            grad[i] = (up - dn) / (2 * h)
-        return grad
+def _level_rows(cone, shifted, lower, upper):
+    """The linear rows G b - h > 0 of one level: touching membership
+    columns, the inner/outer support boxes and the shifted constraints."""
+    ns = cone.normal_system
+    eye = np.eye(ns.count)
+    rows = [cone.matrix(touching_only=True).T, eye, -eye]
+    offsets = [np.zeros(rows[0].shape[0]), lower, -upper]
+    for sc in shifted:
+        if sc.spec.kind == SUPPORT_BOX:
+            if sc.spec.upper is not None:
+                rows.append(-eye)
+                offsets.append(-(sc.spec.upper + sc.shift))
+            if sc.spec.lower is not None:
+                rows.append(eye)
+                offsets.append(sc.spec.lower - sc.shift)
+            continue
+        if sc.spec.kind == LINEAR_SUPPORT_LE:
+            weights = sc.spec.weights
+        elif ns.dimension == 2:
+            weights = planar_forms(ns)[1]
+        else:
+            raise ValueError("perimeter_le requires d = 2")
+        rows.append(-weights[None, :])
+        offsets.append(np.array([-(sc.spec.limit + sc.shift)]))
+    return np.vstack(rows), np.concatenate(offsets)
 
 
-def _max_step(problem, b, direction):
-    slacks = problem.lin_slacks(b)
-    rate = problem.G @ direction
-    shrink = rate < -1e-300
-    if not shrink.any():
-        return np.inf
-    return float((slacks[shrink] / -rate[shrink]).min())
+def _convex_objective(objective, cone, G, h):
+    """(phi, G, h): the level objective as a convex phi(z) returning value,
+    gradient and Hessian, on the barrier variables z with their rows.
+
+    z is b, except for target tracking, where z = (b, s) with the epigraph
+    rows s >= +-(b - target) and phi = s.  The volume enters as -log V,
+    which Brunn-Minkowski makes convex on the cone: in d = 2 V is the
+    quadratic form of `planar_forms`, in d = 3 it is read off one
+    realization, with `facet_area_jacobian` as its Hessian.
+    """
+    ns = cone.normal_system
+    n = ns.count
+    if objective.kind == LINEAR_SUPPORT:
+        w, flat = objective.weights, np.zeros((n, n))
+        return (lambda b: (float(w @ b), w, flat)), G, h
+    if objective.kind == TARGET_TRACKING:
+        eye, one = np.eye(n), np.ones((n, 1))
+        G = np.block([[G, np.zeros((G.shape[0], 1))], [-eye, one], [eye, one]])
+        h = np.concatenate([h, -objective.target, objective.target])
+        unit, flat = np.eye(n + 1)[n], np.zeros((n + 1, n + 1))
+        return (lambda z: (float(z[n]), unit, flat)), G, h
+    if ns.dimension == 2:
+        lam = planar_forms(ns)[0]
+
+        def volume(b):
+            lam_b = lam @ b
+            return 0.5 * float(b @ lam_b), lam_b, lam
+    else:
+        def volume(b):
+            real = realize(b, cone,
+                           precomputed_class=CoordinateVector(b, INTERIOR))
+            areas = facet_measures(real)
+            return (float(b @ areas) / ns.dimension, areas,
+                    facet_area_jacobian(real))
+
+    def neg_log_volume(b):
+        v, dv, d2v = volume(b)
+        if not v > 0.0:
+            return np.inf, None, None
+        g = dv / v
+        return -np.log(v), -g, np.outer(g, g) - d2v / v
+    return neg_log_volume, G, h
 
 
-def _descend(problem, b, value_fn, grad_fn, *, max_iter, step_tol,
-             improve_tol=0.0):
-    """Backtracking gradient descent keeping all linear slacks strictly
-    positive; value_fn returns +inf outside the barrier domain.
-    Stops on small steps or, when improve_tol > 0, on stalling progress
-    (approximate centering is enough away from the barrier floor)."""
-    b = b.copy()
-    f = value_fn(b)
-    if not np.isfinite(f):
-        raise NumericalFailure("descent started outside the barrier domain")
-    t_prev = 1.0
-    iterations = 0
-    for _ in range(max_iter):
-        g = grad_fn(b)
-        gnorm = float(np.abs(g).max())
-        if gnorm < 1e-12 * (1.0 + abs(f)):
-            break
-        direction = -g
-        t_cap = 0.99 * _max_step(problem, b, direction)
-        t = min(2.0 * t_prev, t_cap, 0.25 * (1.0 + np.abs(b).max()) / gnorm)
-        if t <= 0 or not np.isfinite(t):
-            break
-        slope = -float(g @ g)
-        accepted = False
-        for _ in range(40):
-            trial = b + t * direction
-            f_trial = value_fn(trial)
-            if np.isfinite(f_trial) and f_trial <= f + 1e-4 * t * slope:
-                accepted = True
+_GAP = 1e-10            # stop once the duality gap m / t is this small
+_T_GROWTH = 8.0
+_MAX_CENTERING = 100    # Newton steps per centering before giving up
+
+
+def _barrier_point(phi, G, h, z):
+    """(phi value, gradient, Hessian, sum log s, slacks s = G z - h), or
+    None outside the barrier domain."""
+    slacks = G @ z - h
+    if not (slacks > 0.0).all():
+        return None
+    value, grad, hess = phi(z)
+    if not np.isfinite(value):
+        return None
+    return value, grad, hess, float(np.log(slacks).sum()), slacks
+
+
+def _newton_barrier(phi, G, h, z):
+    """Minimize phi over {G z > h} from a strictly feasible z.
+
+    Damped Newton centers t phi(z) - sum log(G z - h) for t = 1, 8, 64, ...
+    until m / t <= _GAP, m = rows.  A step is capped at 0.99 of the largest
+    feasible one and halved until it passes Armijo.  Centering ends on a
+    Newton decrement lambda^2 / 2 <= 1e-9, on an accepted step that lowers
+    the merit by no more than rounding (1e-13 (1 + |f|)), or when no step
+    passes.  The Newton system is solved by least squares: near the
+    optimum the active rows make it singular to working precision.
+    Returns (z, Newton steps, m / t).
+    """
+    m = G.shape[0]
+    t = 1.0
+    steps = 0
+    point = _barrier_point(phi, G, h, z)
+    if point is None:
+        raise NumericalFailure("barrier start outside the level's rows")
+    while True:
+        for _ in range(_MAX_CENTERING):
+            value, grad, hess, log_sum, slacks = point
+            f = t * value - log_sum
+            scaled = G / slacks[:, None]
+            g = t * grad - scaled.sum(axis=0)
+            dz = np.linalg.lstsq(t * hess + scaled.T @ scaled, -g,
+                                 rcond=None)[0]
+            decrement = -float(g @ dz)
+            if not decrement > 2e-9:
                 break
-            t *= 0.5
-        if not accepted:
-            break
-        step = float(np.abs(t * direction).max())
-        gain = f - f_trial
-        b = trial
-        f = f_trial
-        t_prev = t
-        iterations += 1
-        if step < step_tol or (improve_tol > 0.0 and gain < improve_tol):
-            break
-    return b, f, iterations
+            rate = G @ dz
+            falling = rate < 0.0
+            alpha = min(1.0, 0.99 * float(
+                (slacks[falling] / -rate[falling]).min(initial=np.inf)))
+            while alpha > 1e-12:
+                trial = _barrier_point(phi, G, h, z + alpha * dz)
+                f_trial = np.inf if trial is None else t * trial[0] - trial[3]
+                if f_trial <= f - 1e-4 * alpha * decrement:
+                    break
+                alpha *= 0.5
+            else:
+                break           # no step passes: the centering is done
+            z = z + alpha * dz
+            point = trial
+            steps += 1
+            if f - f_trial <= 1e-13 * (1.0 + abs(f_trial)):
+                break
+        else:
+            raise NumericalFailure("Newton centering did not converge")
+        if m / t <= _GAP:
+            return z, steps, m / t
+        t *= _T_GROWTH
 
 
-def _solve_from_start(problem, b0, tol):
-    iterations = 0
-    b = b0.copy()
-    mu = tol.mu_init
-    while mu >= tol.mu_floor:
-        def value(x, mu=mu):
-            slacks = problem.lin_slacks(x)
-            if (slacks <= 0).any():
-                return np.inf
-            return float(problem.objective_value(x)
-                         - mu * np.log(slacks).sum())
-
-        def grad(x, mu=mu):
-            slacks = problem.lin_slacks(x)
-            return (problem.objective_gradient(x)
-                    - mu * (problem.G / slacks[:, None]).sum(axis=0))
-
-        b, _, its = _descend(problem, b, value, grad,
-                             max_iter=tol.max_inner, step_tol=tol.step_tol,
-                             improve_tol=1e-3 * mu)
-        iterations += its
-        mu *= tol.mu_factor
-    return b, problem.objective_value(b), iterations
-
-
-def _chebyshev_start(problem):
+def _chebyshev_start(G, h, scale):
     """Largest-slack point of the linear rows, via one LP."""
-    G, h = problem.G, problem.h
     norms = np.linalg.norm(G, axis=1)
     norms[norms == 0] = 1.0
     n = G.shape[1]
@@ -437,27 +405,26 @@ def _chebyshev_start(problem):
     c = np.zeros(n + 1)
     c[-1] = 1.0
     outcome = solve_lp(LinearProgram(c, A, rhs))
-    if outcome.status != OPTIMAL or outcome.value <= 1e-9 * problem.scale:
+    if outcome.status != OPTIMAL or outcome.value <= 1e-9 * scale:
         raise InfeasibleLevel("no strictly feasible point for the level")
     return outcome.primal_point[:n]
 
 
 def solve_level(problem: GalerkinProblem, level: int, *, cone=None,
-                warm_b=None, kappa_hat=None) -> LevelResult:
+                kappa_hat=None) -> LevelResult:
     """Solve the discretized problem on one level of the sequence.
 
     The constraint set enforces the touching membership columns (the
     nonemptiness columns are implied by the inner box), the projected
     support boxes, and the shifted functional constraints, all as linear
-    rows.  Multi-start: the warm start (when given), the interior-blended
-    inner projection, and the box midpoint, each kept only when it is
-    strictly inside every row; when none is, the Chebyshev center of the
-    rows is the one start.  Under a perimeter cap the warm start and the
-    box midpoint usually lie outside the cap and are dropped.  Results
-    merge by (objective, lexicographic b).
+    rows.  Every objective is convex on the cone, so one barrier path from
+    one start reaches the level's optimum: the result is within the
+    reported gap m / t of it (exactly so where phi is twice differentiable;
+    in d = 3 where the polytope is simple).  The start is the blend
+    (1 - lambda) inner + lambda |outer| when it is strictly inside every
+    row, else the Chebyshev center of the rows.
     """
     t_start = time.perf_counter()
-    tol = problem.tolerances
     ns = problem.sequence.levels[level]
     if cone is None:
         cone = prune_redundant(compile_cone(ns))
@@ -480,69 +447,41 @@ def solve_level(problem: GalerkinProblem, level: int, *, cone=None,
     shifted = shift_constraints(problem.constraints, kappa_used, outer_norm)
 
     objective = problem.objective.resolve(ns)
-    barrier = _BarrierProblem(cone, objective, shifted, lower, upper, tol)
+    G, h = _level_rows(cone, shifted, lower, upper)
+    scale = 1.0 + float(np.abs(h).max(initial=0.0))
+    b0 = (1.0 - problem.lam) * lower + problem.lam * outer_norm
+    if not (G @ b0 - h).min() > 1e-9 * scale:
+        b0 = _chebyshev_start(G, h, scale)
+    phi, G_z, h_z = _convex_objective(objective, cone, G, h)
+    z0 = b0
+    if objective.kind == TARGET_TRACKING:
+        z0 = np.append(b0, 1.0 + 2.0 * np.abs(b0 - objective.target).max())
+    z, steps, gap = _newton_barrier(phi, G_z, h_z, z0)
+    b = z[:ns.count]
 
-    candidates = []
-    if warm_b is not None:
-        candidates.append(np.asarray(warm_b, dtype=float))
-    candidates.append((1.0 - problem.lam) * lower + problem.lam * outer_norm)
-    candidates.append(0.5 * (lower + upper))
-    strict = 1e-9 * barrier.scale
-    starts = [b for b in candidates if barrier.lin_slacks(b).min() > strict]
-    if not starts:
-        starts = [_chebyshev_start(barrier)]
-
-    results = []
-    iterations = 0
-    for b0 in starts:
-        b, phi, its = _solve_from_start(barrier, b0, tol)
-        iterations += its
-        results.append((phi, tuple(b), b))
-    results.sort(key=lambda r: (r[0], r[1]))
-    b_best = results[0][2]
-
-    if barrier.lin_slacks(b_best).min() < -tol.feas_eps * barrier.scale:
+    if (G @ b - h).min() < -problem.tolerances.feas_eps * scale:
         raise NumericalFailure("solver returned an infeasible point")
 
-    realization = realize(b_best, cone)
-    phi_best = objective.value(b_best, realization)
+    realization = realize(b, cone)
     constraint_values = (np.concatenate(
-        [sc.values(b_best, realization) for sc in shifted])
+        [sc.values(b, realization) for sc in shifted])
         if shifted else np.zeros(0))
     wall_ms = 1000.0 * (time.perf_counter() - t_start)
-    return LevelResult(level=level, row_count=ns.count, b=b_best,
-                       realization=realization, objective_value=phi_best,
+    return LevelResult(level=level, row_count=ns.count, b=b,
+                       realization=realization,
+                       objective_value=objective.value(b, realization),
                        constraint_values=constraint_values,
-                       kappa_hat=kappa_hat, iterations=iterations,
-                       wall_ms=wall_ms, start_count=len(starts))
+                       kappa_hat=kappa_hat, iterations=steps,
+                       wall_ms=wall_ms, start_count=1, gap=gap)
 
 
 def run_sequence(problem: GalerkinProblem) -> SequenceResult:
-    """Solve every requested level, warm-starting each from the previous
-    minimizer (embedded, then blended toward the interior), and report the
-    cross-level convergence table.  A warm start outside a level's rows,
-    as under a tight perimeter cap, is dropped like any other start (see
-    `solve_level`)."""
+    """Solve every requested level, each from its own start (see
+    `solve_level`), and report the cross-level convergence table."""
     indices = problem.level_indices()
     if not indices:
         raise ValueError("no levels to run")
-    results = []
-    warm = None
-    prev = None
-    prev_cone = None
-    for level in indices:
-        ns = problem.sequence.levels[level]
-        cone = prune_redundant(compile_cone(ns))
-        if prev is not None:
-            embedded = embed_coordinates(prev.b, problem.sequence,
-                                         prev.level, level,
-                                         coarse_cone=prev_cone)
-            radius = prev.realization.body_norm()
-            warm = (1.0 - problem.lam) * embedded.b + problem.lam * radius
-        result = solve_level(problem, level, cone=cone, warm_b=warm)
-        results.append(result)
-        prev = result
-        prev_cone = cone
+    results = [solve_level(problem, level) for level in indices]
     cross = []
     for a, b in zip(results, results[1:]):
         cross.append({

@@ -307,6 +307,7 @@ def results_to_obj(result, config=None) -> dict:
             "constraints": lr.constraint_values,
             "kappa_hat": lr.kappa_hat,
             "iterations": lr.iterations,
+            "gap": lr.gap,
             "wall_ms": lr.wall_ms,
         })
     cross = [{"k": c["level"], "k_next": c["level_next"],

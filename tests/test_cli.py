@@ -188,12 +188,29 @@ def test_optimize_results_and_determinism(tmp_path):
     assert len(r1["levels"]) == 2
     assert r1["levels"][0]["kappa_hat"] is not None
     assert len(r1["cross_level"]) == 1
+    assert all(level["gap"] <= 1e-10 for level in r1["levels"])
     # Byte-identical up to wall-clock timings.
     for r in (r1, r2):
         for level in r["levels"]:
             level["wall_ms"] = 0.0
         r["config"]["out"] = ""
     assert serialize.dumps(r1) == serialize.dumps(r2)
+
+
+def test_optimize_rejects_removed_tolerances(tmp_path, capsys):
+    problem = {
+        "schema_version": 1,
+        "sequence": {"d": 2, "levels": [2]},
+        "objective": {"kind": "neg_volume"},
+        "inner_body": {"type": "point_hull", "points": [[0, 0]]},
+        "outer_body": {"type": "ball", "center": [0, 0], "radius": 2.0},
+        "tolerances": {"mu_floor": 1e-8},
+    }
+    problem_path = tmp_path / "problem.json"
+    serialize.write_json(problem_path, problem)
+    assert run_cli("optimize", "--problem", str(problem_path),
+                   "--out", str(tmp_path / "r.json")) == 1
+    assert "mu_floor" in capsys.readouterr().err
 
 
 def test_byte_identical_outputs(tmp_path):

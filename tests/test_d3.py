@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from polygal import (Ball, PointHull, compile_cone, estimate_delta,
+from polygal import (Ball, PointHull, classify, compile_cone, estimate_delta,
                      estimate_kappa, hausdorff_body_vs_polytope,
                      hausdorff_polytopes, polytope_volume, project_coords,
                      prune_redundant, realize, spherical_grid_normals,
                      support_coordinates, validate_normals)
+from polygal.coordinates import facet_area_jacobian, facet_measures
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +81,20 @@ def test_point_hull_projection_round_trip(grid_cone):
     assert res.coords.classification in ("interior", "boundary")
     b = support_coordinates(res.realization)
     assert b == pytest.approx(res.coords.b, abs=1e-9)
+
+
+def test_facet_area_jacobian_matches_central_differences(grid_cone):
+    rng = np.random.default_rng(37)
+    h = 1e-6
+    for _ in range(3):
+        b = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, 26)
+        assert classify(b, grid_cone).classification == "interior"
+        jac = facet_area_jacobian(realize(b, grid_cone))
+        for j in range(26):
+            probe = b.copy()
+            probe[j] += h
+            up = facet_measures(realize(probe, grid_cone))
+            probe[j] -= 2 * h
+            dn = facet_measures(realize(probe, grid_cone))
+            assert np.abs(jac[:, j] - (up - dn) / (2 * h)).max() <= 1e-7
+        assert (jac == jac.T).all()

@@ -112,13 +112,14 @@ def test_problem_from_obj():
         "inner_body": {"type": "point_hull", "points": [[0, 0]]},
         "outer_body": {"type": "ball", "center": [0, 0], "radius": 2.0},
         "lambda": 0.1,
-        "tolerances": {"mu_floor": 1e-6},
+        "tolerances": {"feas_eps": 1e-7},
     }
     problem = serialize.problem_from_obj(obj)
     assert len(problem.sequence.levels) == 2
-    assert problem.tolerances.mu_floor == 1e-6
+    assert problem.tolerances.feas_eps == 1e-7
     assert problem.constraints[0].lipschitz_L == pytest.approx(2 * np.pi)
-    for key in ("bogus", "phase1_margin", "max_phase1"):
+    for key in ("bogus", "phase1_margin", "max_phase1", "mu_init",
+                "mu_floor", "mu_factor", "step_tol", "max_inner", "fd_step"):
         with pytest.raises(ValueError):
             serialize.problem_from_obj({**obj, "tolerances": {key: 1}})
 
