@@ -269,29 +269,33 @@ def support_coordinates(real: PolytopeRealization) -> np.ndarray:
     return (real.normals.matrix @ real.vertices.T).max(axis=1)
 
 
-def _point_to_polytope(v, A, b, slack):
-    """Exact Euclidean distance from a point to {x : Ax <= b} (d <= 3).
-
-    Projects onto the affine hulls of all independent active-row subsets and
-    keeps feasible candidates; the projection onto the polytope is among
-    them.
-    """
-    if ((A @ v) <= b + slack).all():
-        return 0.0
+def _affine_faces(A, b):
+    """Per subset size, the rows, Gram matrices and right-hand sides of the
+    independent row subsets of {x : Ax <= b} (d <= 3); they do not depend
+    on the point being projected."""
     n, d = A.shape
-    best = np.inf
+    faces = []
     for size in range(1, d + 1):
         combos = _combinations_array(n, size)
         As = A[combos]                                   # (P, s, d)
         G = As @ As.transpose(0, 2, 1)
-        det = np.linalg.det(G)
-        ok = det > 1e-16
-        if not ok.any():
-            continue
-        As_ok, combos_ok = As[ok], combos[ok]
-        rhs = As_ok @ v - b[combos_ok]
-        lam = np.linalg.solve(G[ok], rhs[:, :, None])[:, :, 0]
-        x = v[None, :] - np.einsum("psd,ps->pd", As_ok, lam)
+        ok = np.linalg.det(G) > 1e-16
+        if ok.any():
+            faces.append((As[ok], G[ok], b[combos[ok]]))
+    return faces
+
+
+def _point_to_polytope(v, A, b, slack, faces):
+    """Exact Euclidean distance from a point outside {x : Ax <= b} to it
+    (d <= 3).
+
+    Projects onto the affine hulls of the `_affine_faces` and keeps
+    feasible candidates; the projection onto the polytope is among them.
+    """
+    best = np.inf
+    for As, G, bs in faces:
+        lam = np.linalg.solve(G, (As @ v - bs)[:, :, None])[:, :, 0]
+        x = v[None, :] - np.einsum("psd,ps->pd", As, lam)
         feas = ((A @ x.T) <= (b + slack)[:, None]).all(axis=0)
         if feas.any():
             dist = np.linalg.norm(x[feas] - v[None, :], axis=1).min()
@@ -305,7 +309,11 @@ def _directed_distance(source: PolytopeRealization, target: PolytopeRealization)
     A = target.normals.matrix
     b = target.b
     slack = feasibility_slack(b)
-    return max(_point_to_polytope(v, A, b, slack) for v in source.vertices)
+    outside = [v for v in source.vertices if not ((A @ v) <= b + slack).all()]
+    if not outside:
+        return 0.0
+    faces = _affine_faces(A, b)
+    return max(_point_to_polytope(v, A, b, slack, faces) for v in outside)
 
 
 def hausdorff_polytopes(real1: PolytopeRealization,

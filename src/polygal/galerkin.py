@@ -17,7 +17,7 @@ from .coordinates import (CoordinateVector, EXTERIOR, UNCLASSIFIED,
                           _vertex_array, classify, realize)
 from .errors import (BadDimension, BadLevel, EmptyPolytope,
                      ExteriorCoordinates, NumericalFailure, UnboundedSpace)
-from .lp import _combinations_array
+from .lp import _combinations_array, feasibility_slack, vertex_points
 from .normals import NormalSystem, check_bounded, validate_normals
 from .spheres import fibonacci_mesh, fibonacci_sphere
 
@@ -186,12 +186,36 @@ def _direction_cost(ns, c):
     return best
 
 
-def _subset_solvers(ns):
+def _every_subset(ns):
+    """Per subset size 1..d, every index subset of the normals."""
+    return [_combinations_array(ns.count, size)
+            for size in range(1, ns.dimension + 1)]
+
+
+def _hull_subsets(ns):
+    """Per subset size 1..d, the index subsets of the rows tight at some
+    vertex of the polar {x : Ax <= 1}.  Those tight sets are the facets of
+    the normals' convex hull, so every direction lies in the cone of one of
+    these subsets."""
+    A = ns.matrix
+    ones = np.ones(ns.count)
+    vertices = vertex_points(A, ones)
+    tight = A @ vertices.T >= (ones - feasibility_slack(ones))[:, None]
+    families = [set() for _ in range(ns.dimension)]
+    for rows in tight.T:
+        facet = np.nonzero(rows)[0].tolist()
+        for size, family in enumerate(families, start=1):
+            family.update(itertools.combinations(facet, size))
+    return [np.array(sorted(family), dtype=np.intp).reshape(-1, size)
+            for size, family in enumerate(families, start=1)]
+
+
+def _subset_solvers(ns, subsets):
     """Per subset size: (normals rows, equation matrix, pseudoinverse) for
-    every linearly independent index subset, precomputed once."""
+    the linearly independent index subsets among `subsets`, one array of
+    index rows per size, precomputed once."""
     data = []
-    for size in range(1, ns.dimension + 1):
-        combos = _combinations_array(ns.count, size)
+    for combos in subsets:
         E = ns.matrix[combos].transpose(0, 2, 1)        # (S, d, size)
         U, S, Vt = np.linalg.svd(E, full_matrices=False)
         ok = S[:, -1] > INDEP_TOL
@@ -202,12 +226,13 @@ def _subset_solvers(ns):
 
 
 def _vertex_cost_minima(ns, dirs, solvers, block=65_536):
-    """Per direction, the cheapest cost over all dual vertices (supports of
-    every independent subset).  Blocks hold about `block` (direction,
-    subset) entries; costs are formed only on the entries with a strictly
-    positive exact representation."""
+    """Per direction, the cheapest cost over the dual vertices supported on
+    the solvers' subsets; inf where none represents the direction.  Blocks
+    hold about `block` (direction, subset) entries; costs are formed only on
+    the entries with a strictly positive exact representation."""
     out = np.full(dirs.shape[0], np.inf)
-    chunk = max(1, block // max(len(pinv) for _, _, pinv in solvers))
+    largest = max(len(pinv) for _, _, pinv in solvers)
+    chunk = max(1, block // max(largest, 1))
     for start in range(0, dirs.shape[0], chunk):
         C = dirs[start:start + chunk]
         for rows, E, pinv in solvers:
@@ -245,12 +270,23 @@ def estimate_kappa(ns: NormalSystem, samples: int | None = None) -> float:
 
     The dimension picks only the directions: in d=2, `samples` uniform
     angles plus every adjacent-pair angular midpoint, where the supremum
-    sits for evenly spread systems; in d=3, a Fibonacci sphere.  Both then
-    batch the vertex minima over precomputed subset solvers and refine
-    with mixtures only the directions that could carry the supremum
-    (mixtures never increase a per-direction value, so the pruned maximum
-    equals the full one).  d=3 is refused above SIZE_GUARDS[3] before any
-    subset is enumerated; d=2 is unguarded.
+    sits for evenly spread systems; in d=3, a Fibonacci sphere.
+
+    Every direction first gets an upper bound u: the cheapest dual vertex
+    supported on a subset of one facet of the normals' convex hull (the
+    rows tight at a vertex of the polar {x : Ax <= 1}, bounded because the
+    space is).  Every direction lies in the cone of such a facet, so in d=2
+    the N adjacent pairs and N singletons serve, and on d = 3 grid level 2
+    194 subsets instead of 2,402 independent ones.  A direction whose bound
+    is not finite (rounding on a facet boundary) is bounded over every
+    independent subset instead, built only then.  The directions are then
+    refined with the full per-direction cost (a minimum over every dual
+    vertex and mixtures) in decreasing u until u cannot beat the worst cost
+    found.  u is the cost of one dual vertex, so the refined cost never
+    exceeds it, and every direction left out costs at most the worst: the
+    value is the maximum of the refined cost over all directions, exactly
+    what bounding over every subset returns.  d=3 is refused above
+    SIZE_GUARDS[3] before any subset is enumerated; d=2 is unguarded.
     """
     d = ns.dimension
     if samples is None:
@@ -262,12 +298,17 @@ def estimate_kappa(ns: NormalSystem, samples: int | None = None) -> float:
     if d == 3:
         _size_guard(ns, allow_large=False)
     dirs = _kappa_directions(ns, samples)
-    vertex_minima = _vertex_cost_minima(ns, dirs, _subset_solvers(ns))
-    if not np.isfinite(vertex_minima).all():
+    bound = _vertex_cost_minima(ns, dirs,
+                                _subset_solvers(ns, _hull_subsets(ns)))
+    missed = ~np.isfinite(bound)
+    if missed.any():
+        bound[missed] = _vertex_cost_minima(
+            ns, dirs[missed], _subset_solvers(ns, _every_subset(ns)))
+    if not np.isfinite(bound).all():
         raise NumericalFailure("a direction admits no dual representation")
     worst = -np.inf
-    for idx in np.argsort(-vertex_minima):
-        if vertex_minima[idx] <= worst:
+    for idx in np.argsort(-bound):
+        if bound[idx] <= worst:
             break
         worst = max(worst, _direction_cost(ns, dirs[idx]))
     return float(worst)

@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import polygal.cone as cone_module
 import polygal.coordinates as coordinates_module
@@ -12,9 +14,12 @@ from polygal import (BadDimension, BadLevel, ExteriorCoordinates,
                      embed_coordinates, estimate_delta, estimate_kappa,
                      kappa_rho_bound, project_coords, project_interior,
                      solve_lp, spherical_grid_normals, validate_normals)
-from polygal.galerkin import (_kappa_directions, _mixture_minimum,
-                              _subset_solvers, _vertex_cost_minima)
+from polygal.galerkin import (_direction_cost, _every_subset,
+                              _hull_subsets, _kappa_directions,
+                              _mixture_minimum, _subset_solvers,
+                              _vertex_cost_minima)
 from polygal.lp import OPTIMAL, _combinations_array
+from polygal.normals import check_bounded
 from polygal.spheres import fibonacci_sphere
 
 from conftest import (TRANSFORMS, bounded_planar_systems, random_point_hull,
@@ -46,6 +51,26 @@ def dense_vertex_cost_minima(ns, dirs, solvers, chunk=32):
             best = np.minimum(best, costs.min(axis=1))
         out[start:start + chunk] = best
     return out
+
+
+def exhaustive_kappa(ns):
+    """Reference kappa: every direction is bounded by its cheapest dual
+    vertex over every independent subset, and directions are refined in
+    decreasing bound until the bound cannot beat the worst cost found."""
+    dirs = _kappa_directions(ns, 1024 if ns.dimension == 2 else 10_000)
+    minima = _vertex_cost_minima(ns, dirs,
+                                 _subset_solvers(ns, _every_subset(ns)))
+    assert np.isfinite(minima).all()
+    worst = -np.inf
+    for idx in np.argsort(-minima):
+        if minima[idx] <= worst:
+            break
+        worst = max(worst, _direction_cost(ns, dirs[idx]))
+    return float(worst)
+
+
+def assert_kappa_is_exhaustive(ns):
+    assert estimate_kappa(ns).hex() == exhaustive_kappa(ns).hex()
 
 
 def planar_direction_cost(ns, c):
@@ -325,7 +350,7 @@ def test_finer_projections_nest():
 
 
 def assert_kernel_matches_dense(ns, dirs):
-    solvers = _subset_solvers(ns)
+    solvers = _subset_solvers(ns, _every_subset(ns))
     sparse = _vertex_cost_minima(ns, dirs, solvers)
     assert np.isfinite(sparse).all()
     assert sparse.tobytes() == dense_vertex_cost_minima(ns, dirs,
@@ -370,6 +395,125 @@ def test_spatial_kappa_guard_refuses_before_enumerating(monkeypatch):
         raise AssertionError("enumeration started")
 
     monkeypatch.setitem(cone_module.SIZE_GUARDS, 3, 20)
-    monkeypatch.setattr(galerkin_module, "_subset_solvers", started)
+    for name in ("_subset_solvers", "_hull_subsets", "_every_subset",
+                 "vertex_points"):
+        monkeypatch.setattr(galerkin_module, name, started)
     with pytest.raises(ValueError):
         estimate_kappa(spherical_grid_normals(3, 2))
+
+
+def signed_units(*patterns):
+    """Unit normals: every sign choice of every coordinate permutation of
+    the patterns, without repeats."""
+    rows = set()
+    for pattern in patterns:
+        for perm in itertools.permutations(pattern):
+            for signs in itertools.product((-1.0, 1.0), repeat=3):
+                rows.add(tuple(float(s * p) for s, p in zip(signs, perm)))
+    return validate_normals(np.array(sorted(rows)))
+
+
+# Hulls: the tetrakis hexahedron (each +-e_i caps a face of the cube of
+# corners (+-1, +-1, +-1) / sqrt 3 with a pyramid too flat for adjacent
+# triangles to be coplanar, so 24 triangles), the cube (6 squares, 4 tight
+# rows each) and the cuboctahedron (6 squares and 8 triangles).
+POLYHEDRA = {"tetrakis": signed_units((1, 0, 0), (1, 1, 1)),
+             "cube": signed_units((1, 1, 1)),
+             "cuboctahedron": signed_units((1, 1, 0))}
+
+
+def test_hull_subsets_are_the_facets_subsets():
+    planar = regular_normals(12, offset=0.2)
+    singles, pairs = _hull_subsets(planar)
+    assert singles.tolist() == [[i] for i in range(12)]
+    assert sorted(map(tuple, pairs)) == sorted(
+        tuple(sorted((i, (i + 1) % 12))) for i in range(12))
+    # Grid level 2: 16 triangles and 16 quads; a quad gives its 4 edges,
+    # 2 diagonals and 4 triples.
+    assert [len(f) for f in _hull_subsets(spherical_grid_normals(3, 2))] == \
+        [26, 88, 80]
+    assert [len(f) for f in _hull_subsets(POLYHEDRA["cube"])] == [8, 24, 24]
+    assert [len(f) for f in _hull_subsets(POLYHEDRA["tetrakis"])] == \
+        [14, 36, 24]
+
+
+def test_hull_bound_is_above_the_all_subset_minima():
+    ns = rotated_grid_3d(2, 4)
+    dirs = fibonacci_sphere(10_000)[::20]
+    hull = _vertex_cost_minima(ns, dirs, _subset_solvers(ns, _hull_subsets(ns)))
+    full = _vertex_cost_minima(ns, dirs, _subset_solvers(ns, _every_subset(ns)))
+    assert np.isfinite(hull).all()
+    assert (hull >= full).all()
+    assert (hull == full).mean() > 0.5
+
+
+@settings(max_examples=10, deadline=None)
+@given(bounded_planar_systems())
+@example(regular_normals(3))
+def test_kappa_is_bitwise_exhaustive_planar(ns):
+    assert_kappa_is_exhaustive(ns)
+
+
+@pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("transform", TRANSFORMS)
+def test_kappa_is_bitwise_exhaustive_on_planar_grids(level, transform):
+    assert_kappa_is_exhaustive(transformed_grid(level, transform, seed=level))
+
+
+@st.composite
+def bounded_spatial_systems(draw):
+    """A seeded rotation of d = 3 grid level 2, or 6 to 30 seeded random
+    unit normals that span a space of polytopes."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return rotated_grid_3d(2, seed)
+    rng = np.random.default_rng(seed)
+    ns = validate_normals(rng.normal(size=(draw(st.integers(6, 30)), 3)))
+    assume(check_bounded(ns))
+    return ns
+
+
+@settings(max_examples=4, deadline=None)
+@given(bounded_spatial_systems())
+@example(rotated_grid_3d(2, 1))
+@example(POLYHEDRA["tetrakis"])
+@example(POLYHEDRA["cube"])
+@example(POLYHEDRA["cuboctahedron"])
+def test_kappa_is_bitwise_exhaustive_spatial(ns):
+    assert_kappa_is_exhaustive(ns)
+
+
+@pytest.mark.parametrize("ns", [spherical_grid_normals(2, 4),
+                                POLYHEDRA["tetrakis"], POLYHEDRA["cube"]],
+                         ids=["planar", "tetrakis", "cube"])
+@pytest.mark.parametrize("kept", [0, 1])
+def test_kappa_falls_back_to_every_subset(monkeypatch, ns, kept):
+    # With no hull subsets every direction, and with singletons only
+    # nearly every one, is bounded over every independent subset.
+    reference = exhaustive_kappa(ns)
+    full = []
+
+    def hull(system):
+        return [f if size <= kept else f[:0]
+                for size, f in enumerate(_hull_subsets(system), start=1)]
+
+    def every(system):
+        full.append(system)
+        return _every_subset(system)
+
+    monkeypatch.setattr(galerkin_module, "_hull_subsets", hull)
+    monkeypatch.setattr(galerkin_module, "_every_subset", every)
+    assert estimate_kappa(ns).hex() == reference.hex()
+    assert len(full) == 1
+
+
+def test_kappa_without_a_representation_raises(monkeypatch):
+    # The zero direction has no strictly positive representation over
+    # independent normals, neither on the hull facets nor on any subset.
+    def with_zero(ns, samples):
+        return np.vstack([_kappa_directions(ns, samples),
+                          np.zeros(ns.dimension)])
+
+    monkeypatch.setattr(galerkin_module, "_kappa_directions", with_zero)
+    with pytest.raises(NumericalFailure):
+        estimate_kappa(spherical_grid_normals(2, 3))
