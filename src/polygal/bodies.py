@@ -15,8 +15,8 @@ from .cone import CompiledCone
 from .coordinates import (CoordinateVector, INTERIOR, PolytopeRealization,
                           classify, realize)
 from .errors import (DegenerateBody, EmptyPolytope, NumericalFailure,
-                     UnboundedBody, UnboundedRegion)
-from .lp import enumerate_primal_vertices, farkas_feasible
+                     UnboundedBody)
+from .lp import farkas_feasible, recession_bounded, vertex_points
 from .normals import NormalSystem
 from .spheres import covering_mesh, unit_directions
 
@@ -103,17 +103,16 @@ class HalfspacePolytope(ConvexBody):
         return (U @ self._vertices().T).max(axis=1)
 
     def _vertices(self):
-        """Vertex array, enumerated once.  Bodies are compact, so an
-        unbounded description raises UnboundedBody in every direction."""
+        """Vertex array (`lp.vertex_points`), found once.  Bodies are
+        compact, so an unbounded description raises UnboundedBody in every
+        direction."""
         verts = self._cache.get("vertices")
         if verts is None:
-            if self.normals.shape[0] < self.normals.shape[1]:
+            if not recession_bounded(self.normals):
                 raise UnboundedBody("halfspace body is unbounded")
-            try:
-                found = enumerate_primal_vertices(self.normals, self.offsets)
-            except UnboundedRegion as exc:
-                raise UnboundedBody("halfspace body is unbounded") from exc
-            verts = np.array([v for v, _ in found])
+            verts = vertex_points(self.normals, self.offsets)
+            if not verts.size:
+                raise NumericalFailure("bounded halfspace body has no vertex")
             self._cache["vertices"] = verts
         return verts
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from .cone import CompiledCone, DIAMOND
 from .errors import EmptyPolytope, ExteriorCoordinates, NumericalFailure, UnboundedRegion
-from .lp import (VERTEX_DEDUP_TOL, _combinations_array, _solve_subsystems,
+from .lp import (_close_pairs, _combinations_array, _solve_subsystems,
                  enumerate_primal_vertices, farkas_feasible, feasibility_slack,
                  vertex_points)
 from .normals import NormalSystem, check_bounded
@@ -124,10 +124,11 @@ def realize(b, cone: CompiledCone, *, precomputed_class=None) -> PolytopeRealiza
 
     In d = 2 the vertices of a polygon whose facets all have positive length
     are the N intersections of angle-consecutive lines.  That path is taken
-    when a certificate (see `_realize_planar`) shows the exhaustive
-    enumeration would return the same list; the result is then bitwise
-    equal to it.  Every other input, and every d = 3 input, goes through
-    `enumerate_primal_vertices`.
+    when a certificate (see `_realize_planar`) shows that
+    `enumerate_primal_vertices` would return the same list; the result is
+    then bitwise equal to it.  Every other input, and every d = 3 input,
+    goes through `enumerate_primal_vertices`, the line clipping of
+    `lp.vertex_points` with its merge.
     """
     b = np.asarray(b, dtype=float)
     cv = precomputed_class or classify(b, cone)
@@ -204,7 +205,7 @@ def _realize_planar(ns: NormalSystem, b):
     """Consecutive-intersection realization, or None when not certified.
 
     The vertices v_k are solved by `_solve_subsystems` on the same (lo, hi)
-    row pairs the generic path forms, so they are bitwise equal to its
+    row pairs the line clipping closes, so they are bitwise equal to its
     candidates.  The generic path returns exactly these vertices, in this
     order, with these active sets, when
 
@@ -213,7 +214,8 @@ def _realize_planar(ns: NormalSystem, b):
     2. every v_k has its own two rows active within half the slack;
     3. every other row r is slack at v_k by more than tau = 2 max(slack) /
        min|det|, i.e. a_r . v_k < b_r - tau;
-    4. no two lexsort-adjacent v_k are within VERTEX_DEDUP_TOL.
+    4. no two v_k are within VERTEX_DEDUP_TOL in the max norm
+       (`_close_pairs` finds none).
 
     Why (3) rules out every other pair (i, j): its intersection y lies on
     line i, whose part inside both neighbouring rows of i is the segment
@@ -223,10 +225,12 @@ def _realize_planar(ns: NormalSystem, b):
     |det| >= min|det|, hence by more than 2 max(slack).  The factor 2 and
     the det floor absorb the rounding of the computed y: its error is below
     4 eps / (|det_ij| min|det|) < 0.1 times that violation, as |det_ij| >
-    RANK_TOL.  So the candidate set is {v_k} (each passes the feasibility
-    test by (2)-(3)), (4) means the merge keeps all of them, (2)-(3) fix
-    each active set with margin to spare for the rounding of the activity
-    test, and the final sort by active set is the order of `pairs`.
+    RANK_TOL.  So the feasible candidates are the v_k (each passes the
+    feasibility test by (2)-(3)): line lo is clipped on either side by the
+    row next to it, closing the pair (lo, hi) once.  By (4) the merge keeps
+    every v_k, (2)-(3) fix each active set with margin to spare for the
+    rounding of the activity test, and the final sort by active set is the
+    order of `pairs`.
     """
     pairs, det_min, active_sets, facet_vertices = _planar_cycle(ns)
     if not det_min >= _PLANAR_DET_FLOOR:
@@ -242,24 +246,24 @@ def _realize_planar(ns: NormalSystem, b):
     resid[rows, cols] = -np.inf
     if not resid.max() < -2.0 * slack.max() / det_min:
         return None
-    ordered = vertices[np.lexsort(vertices.T[::-1])]
-    if not (np.abs(np.diff(ordered, axis=0)).max(axis=1)
-            > VERTEX_DEDUP_TOL).all():
+    if _close_pairs(vertices)[0].size:
         return None
     return PolytopeRealization(ns, b, vertices, active_sets, facet_vertices)
 
 
 def _realize_generic(ns: NormalSystem, b) -> PolytopeRealization:
-    """Realization by exhaustive vertex enumeration (any d, any input)."""
-    found = enumerate_primal_vertices(ns.matrix, b, assume_bounded=True)
+    """Realization from `enumerate_primal_vertices` (any d, any input)."""
+    found = enumerate_primal_vertices(ns.matrix, b)
     if not found:
         raise NumericalFailure("admissible coordinates produced no vertices")
     vertices = np.array([v for v, _ in found])
     active_sets = tuple(act for _, act in found)
-    facet_vertices = tuple(
-        tuple(j for j, act in enumerate(active_sets) if k in act)
-        for k in range(ns.count))
-    return PolytopeRealization(ns, b, vertices, active_sets, facet_vertices)
+    facet_vertices = [[] for _ in range(ns.count)]
+    for j, act in enumerate(active_sets):
+        for k in act:
+            facet_vertices[k].append(j)
+    return PolytopeRealization(ns, b, vertices, active_sets,
+                               tuple(map(tuple, facet_vertices)))
 
 
 def support_coordinates(real: PolytopeRealization) -> np.ndarray:

@@ -17,7 +17,7 @@ from .coordinates import (CoordinateVector, EXTERIOR, UNCLASSIFIED,
                           _vertex_array, classify, realize)
 from .errors import (BadDimension, BadLevel, EmptyPolytope,
                      ExteriorCoordinates, NumericalFailure, UnboundedSpace)
-from .lp import _combinations_array, feasibility_slack, vertex_points
+from .lp import _combinations_array, enumerate_primal_vertices
 from .normals import NormalSystem, check_bounded, validate_normals
 from .spheres import fibonacci_mesh, fibonacci_sphere
 
@@ -193,17 +193,12 @@ def _every_subset(ns):
 
 
 def _hull_subsets(ns):
-    """Per subset size 1..d, the index subsets of the rows tight at some
-    vertex of the polar {x : Ax <= 1}.  Those tight sets are the facets of
-    the normals' convex hull, so every direction lies in the cone of one of
-    these subsets."""
-    A = ns.matrix
-    ones = np.ones(ns.count)
-    vertices = vertex_points(A, ones)
-    tight = A @ vertices.T >= (ones - feasibility_slack(ones))[:, None]
+    """Per subset size 1..d, the index subsets of the active sets of the
+    vertices of the polar {x : Ax <= 1}.  Those active sets are the facets
+    of the normals' convex hull, so every direction lies in the cone of one
+    of these subsets."""
     families = [set() for _ in range(ns.dimension)]
-    for rows in tight.T:
-        facet = np.nonzero(rows)[0].tolist()
+    for _, facet in enumerate_primal_vertices(ns.matrix, np.ones(ns.count)):
         for size, family in enumerate(families, start=1):
             family.update(itertools.combinations(facet, size))
     return [np.array(sorted(family), dtype=np.intp).reshape(-1, size)

@@ -3,8 +3,9 @@
 Solves max{c.x : Ax <= b} with a two-phase primal simplex (Bland's rule) run
 on the dual standard form min{b.p : A^T p = c, p >= 0}.  Every outcome carries
 a certificate: an optimal dual vector, or a Farkas vector proving emptiness.
-Also hosts exhaustive vertex enumeration for desk-scale H-polytopes, and the
-line-clipping vertex search that support values read.
+Also hosts the library's one general vertex search: `vertex_points` clips
+the lines on which d - 1 rows are tight, and `enumerate_primal_vertices`
+merges its points and adds the active sets.
 """
 
 from dataclasses import dataclass
@@ -293,16 +294,18 @@ def recession_bounded(A):
 
 
 def vertex_points(A, b):
-    """Vertices of {x : Ax <= b} as a (P, d) array, a vertex possibly a few
-    times; empty when the region is empty or contains a line.
+    """Vertices of {x : Ax <= b} as a (P, d) array, a vertex once for each
+    subset found to close it; empty when the region is empty or contains a
+    line.
 
     Each vertex ends the segment that the region cuts from a line through
     it on which d - 1 independent rows hold with equality.  Every such line
     is clipped by all rows at once, and the row bounding it most tightly on
     either side closes a d-subset; those subsets are solved and kept when
-    feasible, as in `enumerate_primal_vertices`.  That is C(n, d - 1) clips
-    of n rows, in blocks of about LINE_BLOCK values, instead of C(n, d)
-    subsets each checked against n rows.
+    feasible to the slack of `feasibility_slack`.  That is C(n, d - 1) clips
+    of n rows, in blocks of about LINE_BLOCK values.  Repeats are left in:
+    maxima over the points do not see them, and `enumerate_primal_vertices`
+    merges them.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -339,73 +342,71 @@ def vertex_points(A, b):
                      (lower, lower.argmax(axis=0))):
             finite = np.isfinite(t[k, np.arange(k.size)])
             ends.append(np.column_stack([lines[finite], k[finite]]))
-        combos = np.unique(np.sort(np.vstack(ends), axis=1), axis=0)
+        combos = np.sort(np.vstack(ends), axis=1)
+        # One solve per subset: its rows as the digits of a base-n key.
+        _, first = np.unique(combos @ n ** np.arange(d - 1, -1, -1),
+                             return_index=True)
+        combos = combos[first]
         x, ok = _solve_subsystems(A, b, combos)
         x = x[ok]
         points.append(x[(A @ x.T <= bound[:, None]).all(axis=0)])
-    points = np.vstack(points)
-    # The subsets closing one vertex agree to rounding, and a degenerate
-    # vertex closes many.  One point per cell of side 1e-13 (1 + |b|_inf)
-    # is kept, which moves a unit row's maximum by at most sqrt(d) times
-    # that side.
-    cells = np.floor(points / (1e-13 * (1.0 + float(np.abs(b).max()))))
-    _, first = np.unique(cells, axis=0, return_index=True)
-    return points[np.sort(first)]
+    return np.vstack(points)
 
 
-def enumerate_primal_vertices(A, b, *, assume_bounded=False):
-    """All extreme points of {x : Ax <= b} with their active index sets.
+def _close_pairs(points):
+    """Index pairs (i, j), i < j, of rows of `points` within
+    VERTEX_DEDUP_TOL of each other in the max norm.
 
-    Exhaustive d-subset enumeration: each nonsingular square subsystem is
-    solved and kept when feasible.  Coincident solutions are merged (radius
-    1e-8 in the max norm) and reported once with the full active set.
-    Output is sorted by active index set.
+    Two such points are within the tolerance along s = points . w for
+    every w with |w|_1 = 1, so only points that neighbour in the order of s
+    are compared; a w with irrational ratios keeps distinct vertices of a
+    symmetric polytope from sharing a value of s.
+    """
+    P, d = points.shape
+    w = np.sqrt(np.arange(2.0, d + 2.0))
+    s = points @ (w / w.sum())
+    order = np.argsort(s, kind="stable")
+    s = s[order]
+    span = np.searchsorted(s, s + VERTEX_DEDUP_TOL, side="right") \
+        - np.arange(1, P + 1)
+    first = np.repeat(np.arange(P), span)
+    second = first + 1 + np.arange(first.size) \
+        - np.repeat(np.cumsum(span) - span, span)
+    i, j = order[first], order[second]
+    close = np.abs(points[i] - points[j]).max(axis=1) <= VERTEX_DEDUP_TOL
+    i, j = i[close], j[close]
+    return np.minimum(i, j), np.maximum(i, j)
 
-    Raises UnboundedRegion when the region is nonempty but unbounded.
+
+def _distinct_points(points):
+    """The points in lexsort order, each dropped when it lies within
+    VERTEX_DEDUP_TOL of an earlier point that is kept; no two that remain
+    are that close."""
+    points = points[np.lexsort(points.T[::-1])]
+    keep = np.ones(points.shape[0], dtype=bool)
+    i, j = _close_pairs(points)
+    for second, first in sorted(zip(j.tolist(), i.tolist())):
+        keep[second] &= not keep[first]
+    return points[keep]
+
+
+def enumerate_primal_vertices(A, b):
+    """Vertices of {x : Ax <= b} with their active index sets: a list of
+    (vertex, active_set) sorted by active set, empty when the region is
+    empty or contains a line.
+
+    The `vertex_points` of the region, merged by `_distinct_points`; a row
+    is active where |a_i . v - b_i| is within `feasibility_slack`.  Whether
+    the region is bounded is the caller's question (`check_bounded`).
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    n, d = A.shape
-    if n < d:
-        raise ValueError("need at least d rows to form a vertex")
+    verts = _distinct_points(vertex_points(A, b))
     slack = feasibility_slack(b)
-
-    points = []
-    combos_all = _combinations_array(n, d)
-    chunk = 200_000
-    for start in range(0, combos_all.shape[0], chunk):
-        combos = combos_all[start:start + chunk]
-        x, ok = _solve_subsystems(A, b, combos)
-        if not ok.any():
-            continue
-        x = x[ok]
-        feas = (A @ x.T <= (b + slack)[:, None]).all(axis=0)
-        if feas.any():
-            points.append(x[feas])
-
-    merged = []
-    if points:
-        cand = np.vstack(points)
-        cand = cand[np.lexsort(cand.T[::-1])]
-        for v in cand:
-            # Duplicates of one vertex agree to machine precision, so they
-            # sort adjacently and a single-pass walk suffices.
-            if merged and np.abs(v - merged[-1]).max() <= VERTEX_DEDUP_TOL:
-                continue
-            merged.append(v)
-
-    if not merged:
-        feasible, _ = farkas_feasible(A, b)
-        if feasible:
-            raise UnboundedRegion("feasible region has no vertex")
-        return []
-
-    if not assume_bounded and not recession_bounded(A):
-        raise UnboundedRegion("region has an unbounded direction")
-
-    verts = np.array(merged)
     activity = np.abs(A @ verts.T - b[:, None]) <= slack[:, None]
-    out = [(verts[j], tuple(np.nonzero(activity[:, j])[0].tolist()))
-           for j in range(verts.shape[0])]
+    vertex, row = np.nonzero(activity.T)
+    cuts = np.searchsorted(vertex, np.arange(verts.shape[0] + 1)).tolist()
+    row = row.tolist()
+    out = [(v, tuple(row[lo:hi])) for v, lo, hi in zip(verts, cuts, cuts[1:])]
     out.sort(key=lambda item: item[1])
     return out

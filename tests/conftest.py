@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
 
 from polygal import compile_cone, spherical_grid_normals, validate_normals
+from polygal.lp import VERTEX_DEDUP_TOL, _solve_subsystems, feasibility_slack
 
 
 def regular_normals(n, offset=0.0):
@@ -30,6 +33,53 @@ def transformed_grid(level, transform, seed):
     elif transform == "permutation":
         m = m[rng.permutation(m.shape[0])]
     return validate_normals(m)
+
+
+def exhaustive_vertices(A, b):
+    """Vertex oracle: (vertices, active_sets) of {x : Ax <= b}.
+
+    Every nonsingular d-subset system is solved (`lp._solve_subsystems`,
+    so a vertex that one subset closes is bitwise the library's) and kept
+    when feasible.  In lexsort order, a solution is dropped when it lies
+    within VERTEX_DEDUP_TOL (max norm) of one kept before it, all of them
+    compared.  The vertices are reported with the rows active there,
+    sorted by active set.
+    """
+    A = np.asarray(A, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n, d = A.shape
+    slack = feasibility_slack(b)
+    combos = np.array(list(itertools.combinations(range(n), d)),
+                      dtype=np.intp).reshape(-1, d)
+    x, ok = _solve_subsystems(A, b, combos)
+    x = x[ok]
+    x = x[(A @ x.T <= (b + slack)[:, None]).all(axis=0)]
+    kept = []
+    for v in x[np.lexsort(x.T[::-1])]:
+        if all(np.abs(v - u).max() > VERTEX_DEDUP_TOL for u in kept):
+            kept.append(v)
+    x = np.array(kept).reshape(-1, d)
+    activity = np.abs(A @ x.T - b[:, None]) <= slack[:, None]
+    active = [tuple(np.nonzero(col)[0].tolist()) for col in activity.T]
+    order = sorted(range(len(active)), key=active.__getitem__)
+    return x[order].reshape(-1, d), tuple(active[j] for j in order)
+
+
+def assert_realization_matches_oracle(real, *, bitwise=False):
+    """The realization has the `exhaustive_vertices` active sets and facet
+    incidence, and its vertices, bit for bit or within 1e-12 (1 + |b|_inf).
+    """
+    b = real.b
+    vertices, active_sets = exhaustive_vertices(real.normals.matrix, b)
+    assert real.active_sets == active_sets
+    assert real.facet_vertices == tuple(
+        tuple(j for j, act in enumerate(active_sets) if k in act)
+        for k in range(b.size))
+    if bitwise:
+        assert np.array_equal(real.vertices, vertices)
+    else:
+        assert np.abs(real.vertices - vertices).max() \
+            <= 1e-12 * (1.0 + np.abs(b).max())
 
 
 def rotated_grid_3d(level, seed):

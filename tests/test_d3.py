@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from polygal import (Ball, PointHull, classify, compile_cone, estimate_delta,
-                     estimate_kappa, hausdorff_body_vs_polytope,
+from polygal import (Ball, PointHull, canonicalize, classify, compile_cone,
+                     estimate_delta, estimate_kappa, hausdorff_body_vs_polytope,
                      hausdorff_polytopes, polytope_volume, project_coords,
                      prune_redundant, realize, spherical_grid_normals,
                      support_coordinates, validate_normals)
 from polygal.coordinates import facet_area_jacobian, facet_measures
+
+from conftest import assert_realization_matches_oracle, rotated_grid_3d
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +100,20 @@ def test_facet_area_jacobian_matches_central_differences(grid_cone):
             dn = facet_measures(realize(probe, grid_cone))
             assert np.abs(jac[:, j] - (up - dn) / (2 * h)).max() <= 1e-7
         assert (jac == jac.T).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_realization_matches_the_oracle_on_rotated_grids(seed):
+    # Support values of a random hull (degenerate vertices, boundary of the
+    # cone) and canonical coordinates near the unit ball.
+    ns = rotated_grid_3d(2, seed)
+    cone = compile_cone(ns)
+    rng = np.random.default_rng(seed)
+    hull = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 7)), 3))
+    ball = 1.0 + 0.02 * rng.uniform(size=ns.count)
+    for b in ((ns.matrix @ hull.T).max(axis=1), canonicalize(ball, ns).b):
+        assert_realization_matches_oracle(realize(b, cone))
+
+
+def test_polar_grid_realization_reports_each_vertex_once(grid_cone):
+    assert realize(np.ones(26), grid_cone).vertex_count == 32

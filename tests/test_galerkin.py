@@ -396,7 +396,7 @@ def test_spatial_kappa_guard_refuses_before_enumerating(monkeypatch):
 
     monkeypatch.setitem(cone_module.SIZE_GUARDS, 3, 20)
     for name in ("_subset_solvers", "_hull_subsets", "_every_subset",
-                 "vertex_points"):
+                 "enumerate_primal_vertices"):
         monkeypatch.setattr(galerkin_module, name, started)
     with pytest.raises(ValueError):
         estimate_kappa(spherical_grid_normals(3, 2))

@@ -1,16 +1,15 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import polygal.lp as lp_module
-from polygal import (LinearProgram, UnboundedRegion, check_bounded,
-                     enumerate_primal_vertices, farkas_feasible, solve_lp,
+from polygal import (LinearProgram, check_bounded, enumerate_primal_vertices,
+                     farkas_feasible, solve_lp, spherical_grid_normals,
                      validate_normals)
 from polygal.lp import VERTEX_DEDUP_TOL, vertex_points
 
-from conftest import bounded_planar_systems, regular_normals, rotated_grid_3d
+from conftest import (bounded_planar_systems, exhaustive_vertices,
+                      regular_normals, rotated_grid_3d)
 
 
 def test_axis_objective_on_unit_square(square_ns):
@@ -113,16 +112,27 @@ def test_farkas_examples(square_ns, hexagon_ns):
     assert -np.ones(6) @ p < 0
 
 
-def test_feasible_region_without_vertices_raises():
-    A = np.array([[1.0, 0.0], [-1.0, 0.0]])
-    with pytest.raises(UnboundedRegion):
-        enumerate_primal_vertices(A, np.ones(2))
+def test_enumeration_leaves_boundedness_to_the_caller():
+    # A strip contains a line and has no vertex; capping it on one side
+    # gives a region with two vertices that is still unbounded.
+    strip = np.array([[1.0, 0.0], [-1.0, 0.0]])
+    assert enumerate_primal_vertices(strip, np.ones(2)) == []
+    capped = np.vstack([strip, [0.0, 1.0]])
+    found = enumerate_primal_vertices(capped, np.ones(3))
+    assert [act for _, act in found] == [(0, 2), (1, 2)]
+    assert not check_bounded(validate_normals(capped))
 
 
-def test_vertices_plus_unbounded_direction_raises():
-    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(UnboundedRegion):
-        enumerate_primal_vertices(A, np.ones(3))
+def assert_enumeration_matches_oracle(A, b):
+    """`enumerate_primal_vertices` reports the oracle's vertices with the
+    same active sets, each vertex within 1e-12 (1 + |b|_inf)."""
+    found = enumerate_primal_vertices(A, b)
+    vertices, active_sets = exhaustive_vertices(A, b)
+    assert tuple(act for _, act in found) == active_sets
+    if found:
+        gap = np.abs(np.array([v for v, _ in found]) - vertices).max()
+        assert gap <= 1e-12 * (1.0 + np.abs(b).max())
+    return found
 
 
 def _nearest(P, Q):
@@ -147,9 +157,10 @@ def test_vertex_points_match_enumeration(data):
     loosen = data.draw(st.sampled_from([0.0, 0.5, 2.0]))
     b = (ns.matrix @ points.T).max(axis=1) + rng.uniform(0.0, loosen, ns.count)
     found = vertex_points(ns.matrix, b)
-    vertices = np.array([v for v, _ in enumerate_primal_vertices(ns.matrix, b)])
+    vertices, _ = exhaustive_vertices(ns.matrix, b)
     assert _nearest(vertices, found).max() <= VERTEX_DEDUP_TOL
     assert _nearest(found, vertices).max() <= VERTEX_DEDUP_TOL
+    assert_enumeration_matches_oracle(ns.matrix, b)
     # One line per block gives the same support values; at a degenerate
     # vertex a tie may close a different subset, which rounds differently.
     with pytest.MonkeyPatch.context() as patch:
@@ -171,33 +182,47 @@ def test_vertex_points_empty_without_a_vertex(square_ns):
         np.array([[1.0, 1.0]]))
 
 
-def _brute_force_vertices(A, b):
-    n, d = A.shape
-    slack = 1e-9 * (1.0 + np.abs(b))
-    points = []
-    for subset in itertools.combinations(range(n), d):
-        M = A[list(subset)]
-        if np.linalg.matrix_rank(M, tol=1e-10) < d:
-            continue
-        x = np.linalg.solve(M, b[list(subset)])
-        if (A @ x <= b + slack).all():
-            points.append(x)
-    return points
-
-
 @pytest.mark.parametrize("n", [5, 8, 12])
 def test_oracle_equivalence_small_systems(n):
     rng = np.random.default_rng(n)
     ns = regular_normals(n, offset=0.1)
     for _ in range(8):
         b = rng.uniform(0.2, 2.0, size=n)
-        found = enumerate_primal_vertices(ns.matrix, b)
-        expected = _brute_force_vertices(ns.matrix, b)
-        for x in expected:
-            assert any(np.abs(x - v).max() <= 1e-7 for v, _ in found)
+        found = assert_enumeration_matches_oracle(ns.matrix, b)
         for v, active in found:
             rank = np.linalg.matrix_rank(ns.matrix[list(active)], tol=1e-10)
             assert rank == 2
+
+
+@pytest.mark.parametrize("level, count", [(2, 32), (3, 128)])
+def test_polar_of_symmetric_grid_reports_each_vertex_once(level, count):
+    # The polar {x : Ax <= 1} of the d = 3 grid has 4 rows tight at each
+    # vertex, and copies of a vertex closed by different row triples differ
+    # by rounding; lexsort-adjacent or floor-cell merges kept 51 and 275.
+    A = spherical_grid_normals(3, level).matrix
+    found = enumerate_primal_vertices(A, np.ones(A.shape[0]))
+    assert len(found) == count
+    vertices = np.array([v for v, _ in found])
+    gaps = np.abs(vertices[:, None] - vertices[None]).max(axis=2)
+    assert gaps[~np.eye(count, dtype=bool)].min() > VERTEX_DEDUP_TOL
+    assert_enumeration_matches_oracle(A, np.ones(A.shape[0]))
+
+
+def test_merge_keeps_the_first_of_each_cluster():
+    # Copies of two vertices 3e-8 apart, scattered by rounding-sized
+    # offsets, and a chain of points 0.6 tol apart.  In lexsort order each
+    # point within tol of a kept one is dropped: one copy of each vertex
+    # and every other point of the chain remain.
+    rng = np.random.default_rng(3)
+    base = np.array([[0.25, -1.0, 3.0], [0.25, -1.0 + 3e-8, 3.0]])
+    copies = np.repeat(base, 20, axis=0) + rng.uniform(-1e-15, 1e-15, (40, 3))
+    chain = np.array([1.0, 1.0, 1.0]) + np.outer(np.arange(5) * 0.6
+                                                 * VERTEX_DEDUP_TOL, [1, 0, 0])
+    kept = lp_module._distinct_points(rng.permutation(np.vstack([copies,
+                                                                 chain])))
+    firsts = [group[np.lexsort(group.T[::-1])][0]
+              for group in (copies[:20], copies[20:])]
+    assert np.array_equal(kept, np.vstack(firsts + [chain[::2]]))
 
 
 def test_strong_duality_and_certificates_random():

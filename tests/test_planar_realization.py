@@ -1,11 +1,11 @@
-"""The d = 2 realization fast path against the exhaustive generic path, and
-the closed forms L = Lam b, area b . Lam b / 2 and perimeter w . b against
-the realized geometry.
+"""The d = 2 realization fast path against the line-clipping generic path
+and the exhaustive vertex oracle, and the closed forms L = Lam b, area
+b . Lam b / 2 and perimeter w . b against the realized geometry.
 
-The fast path must return exactly what the generic enumeration returns, bit
-for bit, whenever it is taken.  It must decline boundary coordinates and
-every input where the enumeration's tolerances make it return something
-other than the N consecutive intersections.
+The fast path must return exactly what the generic path and the oracle
+return, bit for bit, whenever it is taken.  It must decline boundary
+coordinates and every input where the tolerances make the generic path
+return something other than the N consecutive intersections.
 """
 
 import numpy as np
@@ -17,7 +17,9 @@ from polygal import (canonicalize, compile_cone, perimeter_2d, polygon_area,
 from polygal.coordinates import (_realize_generic, _realize_planar,
                                  facet_lengths_2d, planar_forms)
 
-from conftest import TRANSFORMS, regular_normals, transformed_grid
+from conftest import (TRANSFORMS, assert_realization_matches_oracle,
+                      exhaustive_vertices, regular_normals, transformed_grid)
+
 
 @st.composite
 def interior_problems(draw):
@@ -68,6 +70,7 @@ def test_planar_path_equals_generic_enumeration(problem):
     assert fast is not None
     generic = _realize_generic(ns, b)
     assert_same_realization(fast, generic)
+    assert_realization_matches_oracle(fast, bitwise=True)
     assert np.array_equal(facet_lengths_2d(fast), facet_lengths_2d(generic))
     assert_lengths_match_loop(fast)
 
@@ -118,9 +121,10 @@ def test_zero_length_edge_falls_back():
 def test_short_facet_apex_falls_back():
     # Facet 0 is 4e-7 long on a polygon of inradius 100: every consecutive
     # vertex has exactly its two rows active, yet the apex of lines 15 and 1
-    # lies within the feasibility slack of line 0, so the enumeration
-    # reports it as a seventeenth vertex.  Only the slack certificate on the
-    # non-incident rows catches this.
+    # lies within the feasibility slack of line 0, so the exhaustive oracle
+    # reports it as a seventeenth vertex.  Line clipping stops both lines at
+    # row 0 and never solves the apex.  Only the slack certificate on the
+    # non-incident rows declines the input.
     n, r, length = 16, 100.0, 4e-7
     ns = regular_normals(n, offset=0.2)
     gap = 2.0 * np.pi / n
@@ -128,8 +132,10 @@ def test_short_facet_apex_falls_back():
     b[0] += ((2.0 * r * (1.0 - np.cos(gap)) - length * np.sin(gap))
              / (2.0 * np.cos(gap)))
     real = declined(ns, b, compile_cone(ns))
-    assert real.vertex_count == n + 1
-    assert [act for act in real.active_sets if len(act) != 2] == [(0, 1, 15)]
+    assert real.vertex_count == n
+    assert all(len(act) == 2 for act in real.active_sets)
+    _, active_sets = exhaustive_vertices(ns.matrix, b)
+    assert [act for act in active_sets if len(act) != 2] == [(0, 1, 15)]
 
 
 def test_far_polygon_with_rounded_activity_falls_back():
@@ -179,3 +185,26 @@ def test_small_regular_polygons_take_the_planar_path(n):
     fast = _realize_planar(ns, b)
     assert fast is not None
     assert_same_realization(fast, _realize_generic(ns, b))
+
+
+@st.composite
+def boundary_and_loose_problems(draw):
+    """A planar grid system and the support values of a hull of 1 to 6
+    points, canonical (on the boundary of the cone) or loosened past it."""
+    level = draw(st.integers(2, 5))
+    ns = transformed_grid(level, draw(st.sampled_from(TRANSFORMS)),
+                          draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 7)), 2))
+    b = (ns.matrix @ points.T).max(axis=1)
+    if draw(st.booleans()):
+        b = b + rng.uniform(0.0, draw(st.sampled_from([0.5, 2.0])), ns.count)
+    return ns, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(boundary_and_loose_problems())
+def test_generic_path_matches_the_oracle_on_boundary_and_loose_coordinates(
+        problem):
+    ns, b = problem
+    assert_realization_matches_oracle(_realize_generic(ns, b))
