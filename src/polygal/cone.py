@@ -131,9 +131,6 @@ class CompiledCone:
             self._cache["columns"] = cols
         return cols
 
-    def touching_for(self, k):
-        return tuple(self.column(j) for j in np.flatnonzero(self.target == k))
-
     def column_indices(self, include_pruned=False, touching_only=False):
         key = (include_pruned, touching_only)
         idx = self._cache.get(("idx", key))

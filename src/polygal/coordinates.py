@@ -68,21 +68,19 @@ class PolytopeRealization:
         return float(np.linalg.norm(self.vertices, axis=1).max())
 
 
-def classify(b, cone: CompiledCone, *, include_pruned=False) -> CoordinateVector:
+def classify(b, cone: CompiledCone) -> CoordinateVector:
     """Classify b as exterior / boundary / interior of the coordinate cone.
 
     Boundary classifications record which membership columns are active.
     """
     b = np.asarray(b, dtype=float)
-    mat = cone.matrix(include_pruned=include_pruned)
-    idx = cone.column_indices(include_pruned=include_pruned)
-    dots = mat.T @ b
+    dots = cone.matrix().T @ b
     eps = classification_band(b)
     if (dots < -eps).any():
         return CoordinateVector(b, EXTERIOR)
     if (dots > eps).all():
         return CoordinateVector(b, INTERIOR)
-    active = idx[np.abs(dots) <= eps]
+    active = cone.column_indices()[np.abs(dots) <= eps]
     return CoordinateVector(b, BOUNDARY, tuple(int(i) for i in active))
 
 
@@ -421,22 +419,22 @@ def facet_lengths_2d(real: PolytopeRealization) -> np.ndarray:
     return np.where(np.array(counts) > 1, hi - lo, 0.0)
 
 
-def ordered_vertices_2d(real: PolytopeRealization) -> np.ndarray:
-    centroid = real.vertices.mean(axis=0)
-    rel = real.vertices - centroid
-    order = np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))
-    return real.vertices[order]
+def _shoelace(x, y):
+    """Area of the convex polygon with vertices (x, y), taken in angle
+    order about their centroid."""
+    x, y = x - x.mean(), y - y.mean()
+    order = np.argsort(np.arctan2(y, x))
+    x, y = x[order], y[order]
+    return 0.5 * float(np.abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
 
 
 def polygon_area(real: PolytopeRealization) -> float:
     """Shoelace area of a planar realization."""
     if real.dimension != 2:
         raise ValueError("shoelace area requires d = 2")
-    pts = ordered_vertices_2d(real)
-    if pts.shape[0] < 3:
+    if real.vertex_count < 3:
         return 0.0
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    return _shoelace(real.vertices[:, 0], real.vertices[:, 1])
 
 
 def _facet_polygon_area_3d(real, k):
@@ -449,13 +447,7 @@ def _facet_polygon_area_3d(real, k):
     seed[int(np.argmin(np.abs(a)))] = 1.0
     u = np.cross(a, seed)
     u /= np.linalg.norm(u)
-    w = np.cross(a, u)
-    center = pts.mean(axis=0)
-    uu = (pts - center) @ u
-    ww = (pts - center) @ w
-    order = np.argsort(np.arctan2(ww, uu))
-    uu, ww = uu[order], ww[order]
-    return 0.5 * float(np.abs(np.dot(uu, np.roll(ww, -1)) - np.dot(ww, np.roll(uu, -1))))
+    return _shoelace(pts @ u, pts @ np.cross(a, u))
 
 
 def facet_measures(real: PolytopeRealization) -> np.ndarray:

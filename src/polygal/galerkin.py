@@ -7,7 +7,7 @@ densely its normals cover the sphere (delta) and how efficiently dual
 representations average nearby normals (kappa).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import itertools
 
 import numpy as np
@@ -80,7 +80,6 @@ class GalerkinSequence:
 
     levels: tuple
     row_maps: tuple
-    level_rates: list = field(default_factory=list)
 
     @classmethod
     def from_systems(cls, systems):

@@ -5,7 +5,8 @@ on the dual standard form min{b.p : A^T p = c, p >= 0}.  Every outcome carries
 a certificate: an optimal dual vector, or a Farkas vector proving emptiness.
 Also hosts the library's one general vertex search: `vertex_points` clips
 the lines on which d - 1 rows are tight, and `enumerate_primal_vertices`
-merges its points and adds the active sets.
+merges its points and adds the active sets; the lines' directions decide
+boundedness (`recession_bounded`).
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ import itertools
 
 import numpy as np
 
-from .errors import NumericalFailure, UnboundedRegion
+from .errors import NumericalFailure
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -24,8 +25,9 @@ _PIVOT_TOL = 1e-10
 _COST_TOL = 1e-9
 RANK_TOL = 1e-10
 VERTEX_DEDUP_TOL = 1e-8
-# Values per block of `vertex_points`' line clipping (rows x lines).
+# Values per block of the line clipping and the ray test (rows x lines).
 LINE_BLOCK = 250_000
+BOUNDED_MARGIN = 1e-9   # see recession_bounded
 
 
 def feasibility_slack(rhs):
@@ -40,14 +42,11 @@ class LinearProgram:
     objective: np.ndarray
     constraint_matrix: np.ndarray
     rhs: np.ndarray
-    sense: str = "maximize"
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         self.constraint_matrix = np.asarray(self.constraint_matrix, dtype=float)
         self.rhs = np.asarray(self.rhs, dtype=float)
-        if self.sense != "maximize":
-            raise ValueError("only maximize problems are supported")
         if self.constraint_matrix.ndim != 2:
             raise ValueError("constraint matrix must be 2-dimensional")
         m, d = self.constraint_matrix.shape
@@ -276,20 +275,42 @@ def _solve_subsystems(A, b, combos):
     return x, ok
 
 
-def recession_bounded(A):
-    """True iff {x : Ax <= 0} = {0}.
+def _tight_lines(A):
+    """Blocks (lines, M, u) of about LINE_BLOCK values (rows x lines) of the
+    lines on which d - 1 rows M of A are tight, with u the cofactor vector
+    of M: a . u is the determinant of M with the row a appended, the test
+    `_solve_subsystems` applies, and |u|^2 is det(M M^T)."""
+    n, d = A.shape
+    lines_all = _combinations_array(n, d - 1)
+    size = max(1, LINE_BLOCK // n)
+    for start in range(0, lines_all.shape[0], size):
+        lines = lines_all[start:start + size]
+        M = A[lines]
+        yield lines, M, np.stack(
+            [(-1) ** j * np.linalg.det(np.delete(M, j, axis=2))
+             for j in range(d)], axis=1)
 
-    Probes max{c.x : Ax <= 0} for c = +-e_1..+-e_d; the recession cone is
-    trivial exactly when every probe is bounded.
+
+def recession_bounded(A):
+    """True iff {x : Ax <= 0} = {0}, with no LP.
+
+    Where rank A = d, a nonzero recession cone is pointed, so it has an
+    extreme ray +-u from `_tight_lines`, with max_i a_i . u <= 0.  Bounded
+    means every unit +-u (u != 0) has max_i a_i . u > BOUNDED_MARGIN, in
+    units of |a_i|: a margin in (0, BOUNDED_MARGIN] reads as unbounded by
+    policy.  Rounding may turn the u of nearly dependent rows, which only
+    matters where every unit direction's margin is that small.  In d = 2
+    the margin is at least half of pi minus the largest angular gap.
     """
-    d = A.shape[1]
-    zero = np.zeros(A.shape[0])
-    for axis in range(d):
-        for sign in (1.0, -1.0):
-            c = np.zeros(d)
-            c[axis] = sign
-            if solve_lp(LinearProgram(c, A, zero)).status == UNBOUNDED:
-                return False
+    A = np.asarray(A, dtype=float)
+    if np.linalg.matrix_rank(A) < A.shape[1]:
+        return False
+    for _, _, u in _tight_lines(A):
+        u = u[(u != 0.0).any(axis=1)]
+        g = A @ (u / np.linalg.norm(u, axis=1)[:, None]).T
+        if (g.max(axis=0) <= BOUNDED_MARGIN).any() \
+                or (g.min(axis=0) >= -BOUNDED_MARGIN).any():
+            return False
     return True
 
 
@@ -314,17 +335,9 @@ def vertex_points(A, b):
     if n < d:
         return points[0]
     bound = b + feasibility_slack(b)
-    lines_all = _combinations_array(n, d - 1)
-    size = max(1, LINE_BLOCK // n)
-    for start in range(0, lines_all.shape[0], size):
-        lines = lines_all[start:start + size]
-        M = A[lines]
-        # Cofactors: a . u is the determinant of M with the row a appended,
-        # the test `_solve_subsystems` applies, and |u|^2 is det(M M^T).  A
-        # line with |u|^2 <= RANK_TOL is skipped: its vertices close subsets
+    for lines, M, u in _tight_lines(A):
+        # Skip lines with |u|^2 <= RANK_TOL: their vertices close subsets
         # with |det| <= 1e-5 and also end the lines of their other rows.
-        u = np.stack([(-1) ** j * np.linalg.det(np.delete(M, j, axis=2))
-                      for j in range(d)], axis=1)
         keep = (u * u).sum(axis=1) > RANK_TOL
         lines, M, u = lines[keep], M[keep], u[keep]
         w = np.linalg.solve(M @ M.transpose(0, 2, 1), b[lines][:, :, None])

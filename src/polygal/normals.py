@@ -31,9 +31,6 @@ class NormalSystem:
     def dimension(self) -> int:
         return self.matrix.shape[1]
 
-    def row(self, i) -> np.ndarray:
-        return self.matrix[i]
-
     def angles(self) -> np.ndarray:
         """Row angles in [0, 2pi), d = 2 only."""
         if self.dimension != 2:

@@ -18,11 +18,10 @@ from .bodies import ConvexBody, project_coords
 from .cone import compile_cone, prune_redundant
 from .coordinates import (CoordinateVector, INTERIOR, PolytopeRealization,
                           facet_area_jacobian, facet_lengths_2d,
-                          facet_measures, hausdorff_polytopes, planar_forms,
-                          polytope_volume, realize)
+                          hausdorff_polytopes, planar_forms, polytope_volume,
+                          realize)
 from .errors import InfeasibleLevel, NumericalFailure
 from .galerkin import GalerkinSequence, estimate_kappa
-from .lp import LinearProgram, OPTIMAL, solve_lp
 
 NEG_VOLUME = "neg_volume"
 LINEAR_SUPPORT = "linear_support"
@@ -289,7 +288,8 @@ def _convex_objective(objective, cone, G, h):
     rows s >= +-(b - target) and phi = s.  The volume enters as -log V,
     which Brunn-Minkowski makes convex on the cone: in d = 2 V is the
     quadratic form of `planar_forms`, in d = 3 it is read off one
-    realization, with `facet_area_jacobian` as its Hessian.
+    realization, with the Hessian J = `facet_area_jacobian` and the facet
+    areas J b / 2 (Euler; exact at the interior b the barrier visits).
     """
     ns = cone.normal_system
     n = ns.count
@@ -310,11 +310,10 @@ def _convex_objective(objective, cone, G, h):
             return 0.5 * float(b @ lam_b), lam_b, lam
     else:
         def volume(b):
-            real = realize(b, cone,
-                           precomputed_class=CoordinateVector(b, INTERIOR))
-            areas = facet_measures(real)
-            return (float(b @ areas) / ns.dimension, areas,
-                    facet_area_jacobian(real))
+            jac = facet_area_jacobian(realize(
+                b, cone, precomputed_class=CoordinateVector(b, INTERIOR)))
+            areas = 0.5 * (jac @ b)
+            return float(b @ areas) / 3.0, areas, jac
 
     def neg_log_volume(b):
         v, dv, d2v = volume(b)
@@ -395,34 +394,34 @@ def _newton_barrier(phi, G, h, z):
         t *= _T_GROWTH
 
 
-def _chebyshev_start(G, h, scale):
-    """Largest-slack point of the linear rows, via one LP."""
+def _phase_one(G, h, b, scale):
+    """A point strictly inside {G b > h}: barrier phase 1 from b, which
+    maximizes s subject to G b - h >= s on the rows normalized to unit
+    length (the boxes bound s), from s = min slack - 1.  The level is
+    infeasible when the optimal s is at most 1e-9 scale."""
     norms = np.linalg.norm(G, axis=1)
     norms[norms == 0] = 1.0
+    G_s = np.hstack([G / norms[:, None], -np.ones((G.shape[0], 1))])
+    h = h / norms
     n = G.shape[1]
-    A = np.hstack([-G / norms[:, None], np.ones((G.shape[0], 1))])
-    rhs = -h / norms
-    c = np.zeros(n + 1)
-    c[-1] = 1.0
-    outcome = solve_lp(LinearProgram(c, A, rhs))
-    if outcome.status != OPTIMAL or outcome.value <= 1e-9 * scale:
+    unit, flat = -np.eye(n + 1)[n], np.zeros((n + 1, n + 1))
+    z0 = np.append(b, (G_s[:, :n] @ b - h).min() - 1.0)
+    z = _newton_barrier(lambda z: (-z[n], unit, flat), G_s, h, z0)[0]
+    if z[n] <= 1e-9 * scale:
         raise InfeasibleLevel("no strictly feasible point for the level")
-    return outcome.primal_point[:n]
+    return z[:n]
 
 
 def solve_level(problem: GalerkinProblem, level: int, *, cone=None,
                 kappa_hat=None) -> LevelResult:
     """Solve the discretized problem on one level of the sequence.
 
-    The constraint set enforces the touching membership columns (the
-    nonemptiness columns are implied by the inner box), the projected
-    support boxes, and the shifted functional constraints, all as linear
-    rows.  Every objective is convex on the cone, so one barrier path from
-    one start reaches the level's optimum: the result is within the
-    reported gap m / t of it (exactly so where phi is twice differentiable;
+    Every objective is convex on the cone of linear rows (`_level_rows`),
+    so one barrier path from one start reaches the level's optimum within
+    the reported gap m / t (exactly so where phi is twice differentiable;
     in d = 3 where the polytope is simple).  The start is the blend
     (1 - lambda) inner + lambda |outer| when it is strictly inside every
-    row, else the Chebyshev center of the rows.
+    row, else the end of a barrier phase 1 from the blend (`_phase_one`).
     """
     t_start = time.perf_counter()
     ns = problem.sequence.levels[level]
@@ -451,7 +450,7 @@ def solve_level(problem: GalerkinProblem, level: int, *, cone=None,
     scale = 1.0 + float(np.abs(h).max(initial=0.0))
     b0 = (1.0 - problem.lam) * lower + problem.lam * outer_norm
     if not (G @ b0 - h).min() > 1e-9 * scale:
-        b0 = _chebyshev_start(G, h, scale)
+        b0 = _phase_one(G, h, b0, scale)
     phi, G_z, h_z = _convex_objective(objective, cone, G, h)
     z0 = b0
     if objective.kind == TARGET_TRACKING:

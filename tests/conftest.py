@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
 
-from polygal import compile_cone, spherical_grid_normals, validate_normals
-from polygal.lp import VERTEX_DEDUP_TOL, _solve_subsystems, feasibility_slack
+from polygal import (LinearProgram, compile_cone, solve_lp,
+                     spherical_grid_normals, validate_normals)
+from polygal.lp import (OPTIMAL, UNBOUNDED, VERTEX_DEDUP_TOL,
+                        _solve_subsystems, feasibility_slack)
 
 
 def regular_normals(n, offset=0.0):
@@ -63,6 +65,35 @@ def exhaustive_vertices(A, b):
     active = [tuple(np.nonzero(col)[0].tolist()) for col in activity.T]
     order = sorted(range(len(active)), key=active.__getitem__)
     return x[order].reshape(-1, d), tuple(active[j] for j in order)
+
+
+def touching_for(cone, k):
+    """The columns of `cone` that touch facet k, pruned or not."""
+    return tuple(cone.column(j) for j in np.flatnonzero(cone.target == k))
+
+
+def chebyshev_slack(G, h):
+    """Phase-1 oracle: the largest s with G x - h >= s |G_i| for some x
+    (the slack of the Chebyshev center of the rows normalized to unit
+    length), by one LP; None when the LP is not optimal."""
+    norms = np.linalg.norm(G, axis=1)
+    norms[norms == 0] = 1.0
+    A = np.hstack([-G / norms[:, None], np.ones((G.shape[0], 1))])
+    c = np.zeros(G.shape[1] + 1)
+    c[-1] = 1.0
+    outcome = solve_lp(LinearProgram(c, A, -h / norms))
+    return outcome.value if outcome.status == OPTIMAL else None
+
+
+def lp_recession_bounded(A):
+    """Boundedness oracle: True iff every probe max{c . x : Ax <= 0},
+    c = +-e_1..+-e_d, is bounded, by the LP kernel."""
+    d = A.shape[1]
+    for c in np.vstack([np.eye(d), -np.eye(d)]):
+        if solve_lp(LinearProgram(c, A, np.zeros(A.shape[0]))).status \
+                == UNBOUNDED:
+            return False
+    return True
 
 
 def assert_realization_matches_oracle(real, *, bitwise=False):

@@ -19,7 +19,7 @@ from polygal import (Ball, ConstraintSpec, GalerkinProblem, GalerkinSequence,
                      validate_normals)
 from polygal.spheres import circle_directions
 
-from conftest import random_point_hull, regular_normals
+from conftest import random_point_hull, regular_normals, touching_for
 
 
 def _report(num, ok, detail):
@@ -65,13 +65,13 @@ def test_criterion_2_structure_counts():
           and hexagon.diamond_count == 5 and hexagon.touching_count == 6)
     adjacency = True
     for k in range(8):
-        survivors = [c for c in octagon.touching_for(k) if not c.pruned]
+        survivors = [c for c in touching_for(octagon, k) if not c.pruned]
         adjacency &= len(survivors) == 1
         adjacency &= set(survivors[0].vertex.support) == {(k - 1) % 8, (k + 1) % 8}
     # The condition b_0 <= b_2 + sqrt(2) b_7 (1-indexed: b_1 <= b_3 +
     # sqrt(2) b_8) must be flagged redundant.
     flagged = False
-    for col in octagon.touching_for(0):
+    for col in touching_for(octagon, 0):
         if col.vertex.support == (2, 7):
             w = np.asarray(col.vertex.weights)
             flagged = col.pruned and np.allclose(w, [1.0, np.sqrt(2)], atol=1e-9)

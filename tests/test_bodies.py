@@ -1,3 +1,6 @@
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -5,11 +8,13 @@ from polygal import (Ball, DegenerateBody, HalfspacePolytope, MinkowskiSum,
                      PointHull, Scaled, UnboundedBody,
                      compile_cone, estimate_delta, estimate_kappa,
                      hausdorff_body_vs_polytope, project_coords,
-                     project_interior, realize, support)
+                     project_interior, realize, spherical_grid_normals,
+                     support)
 from polygal.bodies import body_from_realization
+from polygal.coordinates import classification_band
 from polygal.spheres import circle_directions
 
-from conftest import random_point_hull, regular_normals
+from conftest import random_point_hull, regular_normals, transformed_grid
 
 
 def test_support_examples():
@@ -149,6 +154,53 @@ def test_projector_idempotent(hexagon_cone):
         real = realize(b, hexagon_cone)
         again = project_coords(body_from_realization(real), hexagon_cone).coords.b
         assert np.abs(again - b).max() <= 1e-9
+
+
+@lru_cache(maxsize=8)
+def _cone(d, level, transform="identity", seed=0):
+    if d == 3:
+        return compile_cone(spherical_grid_normals(3, level))
+    return compile_cone(transformed_grid(level, transform, seed))
+
+
+@st.composite
+def cones(draw):
+    """Planar grid cones of levels 2 to 4 under a transform, or the d = 3
+    grid cone of level 2."""
+    if draw(st.integers(0, 3)) == 0:
+        return _cone(3, 2)
+    return _cone(2, draw(st.integers(2, 4)),
+                 draw(st.sampled_from(["identity", "rotation", "reflection",
+                                       "permutation"])),
+                 draw(st.integers(0, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(cones(), st.integers(0, 2**32 - 1))
+def test_projector_monotone_on_nested_hulls(cone, seed):
+    # K is the hull of convex combinations of L's points, so K lies in L.
+    rng = np.random.default_rng(seed)
+    d = cone.normal_system.dimension
+    outer = random_point_hull(rng, d=d)
+    weights = rng.dirichlet(np.ones(outer.points.shape[0]),
+                            size=int(rng.integers(1, 6)))
+    inner = PointHull(weights @ outer.points)
+    small = project_coords(inner, cone).coords.b
+    large = project_coords(outer, cone).coords.b
+    assert (small <= large + 1e-12 * (1.0 + np.abs(large).max())).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(cones(), st.integers(0, 2**32 - 1))
+def test_projector_idempotent_on_admissible_coordinates(cone, seed):
+    # Support values of a hull are admissible; projecting their polytope
+    # gives them back to the classification band.
+    rng = np.random.default_rng(seed)
+    hull = random_point_hull(rng, d=cone.normal_system.dimension)
+    b = project_coords(hull, cone).coords.b
+    again = project_coords(body_from_realization(realize(b, cone)),
+                           cone).coords.b
+    assert np.abs(again - b).max() <= classification_band(b)
 
 
 def test_projection_error_bounds():

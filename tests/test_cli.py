@@ -6,6 +6,8 @@ import pytest
 from polygal import serialize
 from polygal.cli import main
 
+from conftest import touching_for
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -55,7 +57,7 @@ def test_compile_counts_and_prune(tmp_path, capsys):
     assert payload["counts"]["pruned"] == payload["counts"]["touching"] - 8
     loaded = serialize.cone_from_obj(serialize.read_json(oct_cone))
     for k in range(8):
-        assert sum(not c.pruned for c in loaded.touching_for(k)) == 1
+        assert sum(not c.pruned for c in touching_for(loaded, k)) == 1
 
 
 def test_compile_unbounded_exit_code(tmp_path, capsys):

@@ -8,7 +8,7 @@ from polygal import (BadDimension, DuplicateRow, LinearProgram, UnboundedSpace,
                      validate_normals)
 from polygal.cone import INDEP_TOL, RESIDUAL_TOL
 
-from conftest import regular_normals
+from conftest import regular_normals, touching_for
 
 
 def diamond_remark_holds(ns, vertex) -> bool:
@@ -194,11 +194,11 @@ def test_planar_size_guard_refuses_before_enumerating(monkeypatch):
 def test_octagon_pruning(octagon_cone):
     pruned = prune_redundant(octagon_cone)
     for k in range(8):
-        cols = pruned.touching_for(k)
+        cols = touching_for(pruned, k)
         survivors = [c for c in cols if not c.pruned]
         assert len(survivors) == 1
         assert set(survivors[0].vertex.support) == {(k - 1) % 8, (k + 1) % 8}
-    dropped = {c.vertex.support for c in pruned.touching_for(0) if c.pruned}
+    dropped = {c.vertex.support for c in touching_for(pruned, 0) if c.pruned}
     assert dropped == {(1, 6), (2, 7)}
 
 
@@ -210,7 +210,7 @@ def test_hexagon_prunes_nothing(hexagon_cone):
 def test_equally_spaced_prune_to_adjacent_pairs(n):
     cone = prune_redundant(compile_cone(regular_normals(n)))
     for k in range(n):
-        survivors = [c for c in cone.touching_for(k) if not c.pruned]
+        survivors = [c for c in touching_for(cone, k) if not c.pruned]
         assert len(survivors) == 1
         assert set(survivors[0].vertex.support) == {(k - 1) % n, (k + 1) % n}
 
@@ -219,7 +219,7 @@ def test_planar_prune_agrees_with_generic_containment(octagon_cone):
     pruned = prune_redundant(octagon_cone)
     ns = octagon_cone.normal_system
     for k in range(8):
-        cols = pruned.touching_for(k)
+        cols = touching_for(pruned, k)
         for big in cols:
             if not big.pruned:
                 continue

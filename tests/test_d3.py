@@ -1,3 +1,6 @@
+from functools import lru_cache
+
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -100,6 +103,26 @@ def test_facet_area_jacobian_matches_central_differences(grid_cone):
             dn = facet_measures(realize(probe, grid_cone))
             assert np.abs(jac[:, j] - (up - dn) / (2 * h)).max() <= 1e-7
         assert (jac == jac.T).all()
+
+
+@lru_cache(maxsize=4)
+def rotated_grid_cone(seed):
+    return compile_cone(rotated_grid_3d(2, seed))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.01, 0.05, 0.1]))
+def test_facet_areas_are_half_the_jacobian_times_b(seed, draw, spread):
+    # F is homogeneous of degree 2 in b, so F = J b / 2 (Euler) wherever
+    # J is the derivative: at interior b, the only b the barrier visits.
+    cone = rotated_grid_cone(seed)
+    b = 1.0 + spread * np.random.default_rng(draw).uniform(-1.0, 1.0, 26)
+    assume(classify(b, cone).classification == "interior")
+    real = realize(b, cone)
+    areas = facet_measures(real)
+    assert np.abs(0.5 * facet_area_jacobian(real) @ b - areas).max() \
+        <= 1e-12 * areas.max()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -1,15 +1,18 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import polygal.lp as lp_module
 from polygal import (LinearProgram, check_bounded, enumerate_primal_vertices,
                      farkas_feasible, solve_lp, spherical_grid_normals,
                      validate_normals)
-from polygal.lp import VERTEX_DEDUP_TOL, vertex_points
+from polygal.lp import (BOUNDED_MARGIN, VERTEX_DEDUP_TOL,
+                        recession_bounded, vertex_points)
 
 from conftest import (bounded_planar_systems, exhaustive_vertices,
-                      regular_normals, rotated_grid_3d)
+                      lp_recession_bounded, regular_normals, rotated_grid_3d)
 
 
 def test_axis_objective_on_unit_square(square_ns):
@@ -248,3 +251,90 @@ def test_strong_duality_and_certificates_random():
             assert np.abs(A.T @ p).max() <= 1e-9
             assert b @ p < 0
     assert {"optimal", "infeasible"} <= seen
+
+
+def ray_margin(A):
+    """min over the unit directions +-u orthogonal to d - 1 rows (cofactor
+    vector u != 0) of max_i a_i . u, one subset at a time."""
+    d = A.shape[1]
+    margin = np.inf
+    for subset in itertools.combinations(range(A.shape[0]), d - 1):
+        M = A[list(subset)]
+        u = np.array([(-1) ** j * np.linalg.det(np.delete(M, j, axis=1))
+                      for j in range(d)])
+        if u @ u > 0.0:
+            g = A @ (u / np.linalg.norm(u))
+            margin = min(margin, g.max(), -g.min())
+    return margin
+
+
+def _turned(row, angle):
+    rot = np.array([[np.cos(angle), -np.sin(angle)],
+                    [np.sin(angle), np.cos(angle)]])
+    out = row.copy()
+    out[:2] = rot @ row[:2]
+    return out
+
+
+@st.composite
+def recession_systems(draw):
+    """1 to 8 unit rows on a grid of step 1/4 in d = 2 or 3, plus up to two
+    rows turned 1e-9 to 1e-3 rad from a drawn row."""
+    d = draw(st.integers(2, 3))
+    grid = st.integers(-4, 4).map(lambda k: k / 4.0)
+    rows = draw(st.lists(st.lists(grid, min_size=d, max_size=d).filter(any),
+                         min_size=1, max_size=8))
+    A = np.array(rows) / np.linalg.norm(rows, axis=1)[:, None]
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2,
+                           unique=True)):
+        angle = draw(st.sampled_from([1e-9, 1e-8, 1e-7, 1e-5, 1e-3]))
+        A = np.vstack([A, _turned(A[i], angle)])
+    return A
+
+
+# The open-cone fan whose largest gap, pi - 3e-10, needed dual weights of
+# 3e9 in the LP probe; its ray margin is 3e-10, inside the band.
+_GAP_NEAR_PI = np.array([0.0, 0.3584, np.pi + 0.3584 - 3e-10])
+
+
+@settings(max_examples=300, deadline=None)
+@given(recession_systems())
+@example(np.column_stack([np.cos(_GAP_NEAR_PI), np.sin(_GAP_NEAR_PI)]))
+@example(np.vstack([np.eye(3), -np.ones((1, 3)) / np.sqrt(3.0),
+                    _turned(np.eye(3)[0], 1e-7)]))
+def test_recession_bounded_agrees_with_the_lp_probe(A):
+    # The LP probe misreads ray margins up to about 1e-8 in both
+    # directions, so the two are compared outside |margin| <= 1e-7.
+    bounded = recession_bounded(A)
+    if np.linalg.matrix_rank(A) < A.shape[1]:
+        assert not bounded
+        return
+    margin = ray_margin(A)
+    if abs(margin - BOUNDED_MARGIN) > 1e-15:
+        assert bounded == (margin > BOUNDED_MARGIN)
+    if abs(margin) > 1e-7:
+        assert bounded == lp_recession_bounded(A)
+
+
+def test_gap_near_pi_is_decided_by_the_margin():
+    # In d = 2 the ray margin is at least half of pi minus the largest
+    # gap: 3e-10 short of pi reads unbounded by policy, 1e-8 short bounded.
+    for short, bounded in ((3e-10, False), (1e-8, True), (0.0, False)):
+        angles = np.array([0.0, 0.3584, np.pi + 0.3584 - short])
+        A = np.column_stack([np.cos(angles), np.sin(angles)])
+        assert recession_bounded(A) == bounded
+
+
+@pytest.mark.parametrize("d, level", [(2, 6), (3, 2), (3, 3), (3, 4)])
+def test_grid_levels_read_bounded(d, level):
+    A = spherical_grid_normals(d, level).matrix
+    assert recession_bounded(A)
+    assert not recession_bounded(A[A[:, 0] < 0.0])
+
+
+def test_recession_bounded_blocks_agree():
+    A = spherical_grid_normals(3, 2).matrix
+    open_cap = A[A[:, 2] > 0.0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp_module, "LINE_BLOCK", 1)
+        assert recession_bounded(A) and not recession_bounded(open_cap)

@@ -9,10 +9,11 @@ from polygal import (Ball, ConstraintSpec, GalerkinProblem, GalerkinSequence,
                      prune_redundant, realize, run_sequence, set_distance,
                      shift_constraints, solve_level, spherical_grid_normals,
                      uniform_sphere_weights, validate_normals)
-from polygal import optimize as optimize_module
+from polygal import lp as lp_module, optimize as optimize_module
 from polygal.coordinates import facet_lengths_2d, facet_measures, planar_forms
 
-from conftest import bounded_planar_systems, random_point_hull, regular_normals
+from conftest import (bounded_planar_systems, chebyshev_slack,
+                      random_point_hull, regular_normals)
 
 
 ORIGIN = PointHull([[0, 0]])
@@ -269,8 +270,11 @@ def test_irregular_isoperimetric_level_reaches_lindelof(ns):
     assert abs(polygon_area(result.realization) - exact) <= 1e-10 * exact
 
 
-def test_tight_cap_starts_from_the_chebyshev_center():
-    seq = GalerkinSequence.from_grid(2, [3])
+@pytest.mark.parametrize("level", [3, 6])
+def test_tight_cap_starts_from_barrier_phase_one(level):
+    # On the rows of level 6 (N = 128, 385 rows) the simplex raises
+    # NumericalFailure.
+    seq = GalerkinSequence.from_grid(2, [level])
     ns = seq.levels[0]
     problem = isoperimetric_problem(seq, limit=1.0)
     blend = problem.lam * problem.outer_body.norm() * np.ones(ns.count)
@@ -278,6 +282,61 @@ def test_tight_cap_starts_from_the_chebyshev_center():
     result = solve_level(problem, 0)
     exact = lindelof_area(ns, 1.0)
     assert abs(polygon_area(result.realization) - exact) <= 1e-10 * exact
+
+
+def tight_cap_rows(level):
+    """(G, h, blend, scale) of the level's rows under perimeter cap 1."""
+    seq = GalerkinSequence.from_grid(2, [level])
+    ns = seq.levels[0]
+    problem = isoperimetric_problem(seq, limit=1.0)
+    cone = prune_redundant(compile_cone(ns))
+    lower = project_coords(problem.inner_body, ns).coords.b
+    upper = project_coords(problem.outer_body, ns).coords.b
+    shifted = shift_constraints(problem.constraints, 0.0, 2.0)
+    G, h = optimize_module._level_rows(cone, shifted, lower, upper)
+    blend = (1.0 - problem.lam) * lower + problem.lam * 2.0
+    return G, h, blend, 1.0 + np.abs(h).max()
+
+
+@pytest.mark.parametrize("level", [3, 4, 5])
+def test_phase_one_reaches_the_lp_largest_slack(level):
+    G, h, blend, scale = tight_cap_rows(level)
+    assert (G @ blend - h).min() < 0.0
+    b = optimize_module._phase_one(G, h, blend, scale)
+    norms = np.linalg.norm(G, axis=1)
+    s_lp = chebyshev_slack(G, h)
+    assert s_lp > 0.0
+    assert abs(((G @ b - h) / norms).min() - s_lp) <= 1e-8 * scale
+
+
+def test_phase_one_refuses_rows_without_an_interior():
+    G, h, blend, scale = tight_cap_rows(3)
+    # A perimeter cap of -1: no b inside the boxes meets it.
+    h = h.copy()
+    h[-1] = 1.0
+    with pytest.raises(InfeasibleLevel):
+        optimize_module._phase_one(G, h, blend, scale)
+    assert chebyshev_slack(G, h) < 0.0
+
+
+def test_solver_paths_run_no_simplex(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the simplex ran")
+    monkeypatch.setattr(lp_module, "_standard_form_simplex", refuse)
+    # Every system is built here, so no bounded flag is cached from
+    # another test; the tight cap puts the blend outside the rows.
+    compile_cone(spherical_grid_normals(2, 4))
+    tight = isoperimetric_problem(GalerkinSequence.from_grid(2, [3, 4]), 1.0)
+    blend = tight.lam * 2.0 * np.ones(16)
+    assert planar_forms(tight.sequence.levels[0])[1] @ blend > 1.0
+    solve_level(tight, 0)
+    grid3 = GalerkinProblem(
+        objective=ObjectiveSpec("neg_volume"),
+        constraints=[ConstraintSpec("linear_support_le", limit=4 * np.pi,
+                                    weights=uniform_sphere_weights(3, 26))],
+        inner_body=PointHull([[0, 0, 0]]), outer_body=Ball([0, 0, 0], 2.0),
+        sequence=GalerkinSequence.from_grid(3, [2]), report_kappa=True)
+    assert solve_level(grid3, 0).kappa_hat > 0.0
 
 
 def test_grid3_volume_reaches_the_minkowski_optimum():

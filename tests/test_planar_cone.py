@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from polygal import (DuplicateRow, UnboundedSpace, check_bounded,
                      compile_cone, prune_redundant, validate_normals)
 from polygal.cone import _compile, _contains_smaller, _prune_group_generic
+from polygal.lp import BOUNDED_MARGIN
 
 from conftest import TRANSFORMS, regular_normals, transformed_grid
 
@@ -117,13 +118,14 @@ def irregular_systems(draw):
     [np.cos([3.0, 1e-7, 1.0, 2.0, 1.0 + np.pi]),
      np.sin([3.0, 1e-7, 1.0, 2.0, 1.0 + np.pi])])))
 def test_irregular_systems_match_exhaustive_compile(ns):
-    # A gap within about 1e-9 of pi is at the LP's cost tolerance and may
-    # read as unbounded; 1e-6 (the compile's sign margin) below pi it may
-    # not.
+    # The ray margin is at least half of pi minus the largest gap, so only
+    # a gap in [pi - 2 BOUNDED_MARGIN, pi) may read either way.
     angles = np.sort(ns.angles())
     gaps = np.diff(angles, append=angles[0] + 2.0 * np.pi)
-    if gaps.max() < np.pi - 1e-6:
+    if gaps.max() < np.pi - 2.0 * BOUNDED_MARGIN - 1e-15:
         assert check_bounded(ns)
+    if gaps.max() >= np.pi:
+        assert not check_bounded(ns)
     assert_matches_oracle(ns)
 
 
