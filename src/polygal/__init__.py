@@ -13,8 +13,8 @@ from .lp import (LinearProgram, LpOutcome, enumerate_primal_vertices,
                  farkas_feasible, solve_lp)
 from .normals import NormalSystem, check_bounded, validate_normals
 from .cone import (CompiledCone, DualVertex, compile_cone,
-                   dual_vertices_for_direction, extreme_points_diamond,
-                   extreme_points_touching, prune_redundant)
+                   extreme_points_diamond, extreme_points_touching,
+                   prune_redundant)
 from .coordinates import (CoordinateVector, DegeneracyReport,
                           PolytopeRealization, canonicalize, classify,
                           diagnose_boundary, facet_dimension,

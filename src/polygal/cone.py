@@ -342,15 +342,6 @@ def extreme_points_touching(ns: NormalSystem, k: int, *, allow_large=False):
     return _vertices(int(k), *_touching_arrays(ns, k))
 
 
-def dual_vertices_for_direction(ns: NormalSystem, c, *, allow_large=False):
-    """Extreme points of {p >= 0 : A^T p = c} for an arbitrary direction c."""
-    _size_guard(ns, allow_large)
-    subsets = _all_subsets(np.arange(ns.count), range(1, ns.dimension + 1))
-    supports, weights = _positive_combinations(
-        ns.matrix.T, np.asarray(c, dtype=float), subsets, ns.dimension)
-    return _vertices(None, supports, weights)
-
-
 def _compile(ns: NormalSystem, exhaustive=False) -> CompiledCone:
     """compile_cone without the guards; `exhaustive` makes d = 2 run the
     all-subsets enumeration, which tests use as the oracle."""

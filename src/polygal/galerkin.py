@@ -12,7 +12,7 @@ import itertools
 
 import numpy as np
 
-from .cone import INDEP_TOL, _size_guard, dual_vertices_for_direction
+from .cone import INDEP_TOL, _size_guard
 from .coordinates import (CoordinateVector, EXTERIOR, UNCLASSIFIED,
                           _vertex_array, classify, realize)
 from .errors import (BadDimension, BadLevel, EmptyPolytope,
@@ -143,13 +143,6 @@ def estimate_delta(ns: NormalSystem, samples: int | None = None) -> float:
     return worst + fibonacci_mesh(samples)
 
 
-def _representation_cost(ns, c, support, weights):
-    weights = np.asarray(weights)
-    shrunk = c / weights.sum()
-    gaps = np.linalg.norm(ns.matrix[list(support)] - shrunk, axis=1)
-    return float(weights @ gaps)
-
-
 _MIX_TS = np.linspace(0.0, 1.0, 33)[1:-1]
 
 
@@ -168,21 +161,6 @@ def _mixture_minimum(ns, c, rep_a, rep_b):
     diffs = ns.matrix[support][None, :, :] - c[None, None, :] / r[:, None, None]
     gaps = np.linalg.norm(diffs, axis=2)
     return float((q * gaps).sum(axis=1).min())
-
-
-def _direction_cost(ns, c):
-    # Unguarded: estimate_kappa applies the d = 3 guard before enumerating.
-    vertices = dual_vertices_for_direction(ns, c, allow_large=True)
-    if not vertices:
-        raise NumericalFailure("direction admits no dual representation")
-    costs = sorted((_representation_cost(ns, c, v.support, v.weights), i)
-                   for i, v in enumerate(vertices))
-    best = costs[0][0]
-    leaders = [(vertices[i].support, vertices[i].weights)
-               for _, i in costs[:4]]
-    for rep_a, rep_b in itertools.combinations(leaders, 2):
-        best = min(best, _mixture_minimum(ns, c, rep_a, rep_b))
-    return best
 
 
 def _every_subset(ns):
@@ -205,9 +183,9 @@ def _hull_subsets(ns):
 
 
 def _subset_solvers(ns, subsets):
-    """Per subset size: (normals rows, equation matrix, pseudoinverse) for
-    the linearly independent index subsets among `subsets`, one array of
-    index rows per size, precomputed once."""
+    """Per subset size: (index rows, normals rows, equation matrix,
+    pseudoinverse) of the linearly independent index subsets among
+    `subsets`, one array of index rows per size, precomputed once."""
     data = []
     for combos in subsets:
         E = ns.matrix[combos].transpose(0, 2, 1)        # (S, d, size)
@@ -215,21 +193,21 @@ def _subset_solvers(ns, subsets):
         ok = S[:, -1] > INDEP_TOL
         U, S, Vt = U[ok], S[ok], Vt[ok]
         pinv = Vt.transpose(0, 2, 1) @ (U.transpose(0, 2, 1) / S[:, :, None])
-        data.append((ns.matrix[combos[ok]], E[ok], pinv))
+        data.append((combos[ok], ns.matrix[combos[ok]], E[ok], pinv))
     return data
 
 
-def _vertex_cost_minima(ns, dirs, solvers, block=65_536):
-    """Per direction, the cheapest cost over the dual vertices supported on
-    the solvers' subsets; inf where none represents the direction.  Blocks
-    hold about `block` (direction, subset) entries; costs are formed only on
-    the entries with a strictly positive exact representation."""
-    out = np.full(dirs.shape[0], np.inf)
-    largest = max(len(pinv) for _, _, pinv in solvers)
+def _vertex_costs(dirs, solvers, block=65_536):
+    """Per block of about `block` (direction, subset) entries and per
+    family of solvers, (direction indices, family, subset indices, weights,
+    costs) of the dual vertices of the directions on the solvers' subsets:
+    the entries with a strictly positive exact representation, the only
+    ones priced."""
+    largest = max(len(pinv) for *_, pinv in solvers)
     chunk = max(1, block // max(largest, 1))
     for start in range(0, dirs.shape[0], chunk):
         C = dirs[start:start + chunk]
-        for rows, E, pinv in solvers:
+        for family, (_, rows, E, pinv) in enumerate(solvers):
             W = np.einsum("psd,cd->cps", pinv, C)
             ci, pi = np.nonzero((W > 1e-12).all(axis=2))
             w = W[ci, pi]
@@ -238,8 +216,35 @@ def _vertex_cost_minima(ns, dirs, solvers, block=65_536):
             ci, pi, w = ci[exact], pi[exact], w[exact]
             shrunk = C[ci] / w.sum(axis=1)[:, None]
             gaps = np.linalg.norm(rows[pi] - shrunk[:, None, :], axis=2)
-            np.minimum.at(out, start + ci, (w * gaps).sum(axis=1))
+            yield start + ci, family, pi, w, (w * gaps).sum(axis=1)
+
+
+def _vertex_cost_minima(ns, dirs, solvers, block=65_536):
+    """Per direction, the cheapest cost over the dual vertices supported on
+    the solvers' subsets; inf where none represents the direction."""
+    out = np.full(dirs.shape[0], np.inf)
+    for ci, _, _, _, costs in _vertex_costs(dirs, solvers, block):
+        np.minimum.at(out, ci, costs)
     return out
+
+
+def _direction_cost(ns, c, solvers):
+    """The cost of direction c: the cheapest of its dual vertices supported
+    on the solvers' subsets and of the two-point mixtures of the four
+    cheapest, ordered by cost and then by support.  The vertex costs are
+    `_vertex_cost_minima`'s, so the result never exceeds its value for c.
+    """
+    found = sorted((cost, tuple(s), tuple(w))
+                   for _, f, pi, weights, costs in _vertex_costs(c[None],
+                                                                 solvers)
+                   for s, w, cost in zip(solvers[f][0][pi].tolist(),
+                                         weights.tolist(), costs.tolist()))
+    if not found:
+        raise NumericalFailure("direction admits no dual representation")
+    best = found[0][0]
+    for (_, *rep_a), (_, *rep_b) in itertools.combinations(found[:4], 2):
+        best = min(best, _mixture_minimum(ns, c, rep_a, rep_b))
+    return best
 
 
 def _kappa_directions(ns, samples):
@@ -273,14 +278,14 @@ def estimate_kappa(ns: NormalSystem, samples: int | None = None) -> float:
     the N adjacent pairs and N singletons serve, and on d = 3 grid level 2
     194 subsets instead of 2,402 independent ones.  A direction whose bound
     is not finite (rounding on a facet boundary) is bounded over every
-    independent subset instead, built only then.  The directions are then
-    refined with the full per-direction cost (a minimum over every dual
-    vertex and mixtures) in decreasing u until u cannot beat the worst cost
-    found.  u is the cost of one dual vertex, so the refined cost never
-    exceeds it, and every direction left out costs at most the worst: the
-    value is the maximum of the refined cost over all directions, exactly
-    what bounding over every subset returns.  d=3 is refused above
-    SIZE_GUARDS[3] before any subset is enumerated; d=2 is unguarded.
+    independent subset instead.  The directions are then refined with
+    `_direction_cost` over every independent subset in decreasing u until
+    u cannot beat the worst cost found.  Bound and refinement price a
+    vertex with one kernel, so the refined cost never exceeds u, and every
+    direction left out costs at most the worst: the value is the maximum
+    of the refined cost over all directions, exactly what bounding over
+    every subset returns.  d=3 is refused above SIZE_GUARDS[3] before any
+    subset is enumerated; d=2 is unguarded.
     """
     d = ns.dimension
     if samples is None:
@@ -292,19 +297,19 @@ def estimate_kappa(ns: NormalSystem, samples: int | None = None) -> float:
     if d == 3:
         _size_guard(ns, allow_large=False)
     dirs = _kappa_directions(ns, samples)
+    every = _subset_solvers(ns, _every_subset(ns))
     bound = _vertex_cost_minima(ns, dirs,
                                 _subset_solvers(ns, _hull_subsets(ns)))
     missed = ~np.isfinite(bound)
     if missed.any():
-        bound[missed] = _vertex_cost_minima(
-            ns, dirs[missed], _subset_solvers(ns, _every_subset(ns)))
+        bound[missed] = _vertex_cost_minima(ns, dirs[missed], every)
     if not np.isfinite(bound).all():
         raise NumericalFailure("a direction admits no dual representation")
     worst = -np.inf
     for idx in np.argsort(-bound):
         if bound[idx] <= worst:
             break
-        worst = max(worst, _direction_cost(ns, dirs[idx]))
+        worst = max(worst, _direction_cost(ns, dirs[idx], every))
     return float(worst)
 
 

@@ -231,8 +231,8 @@ class GalerkinProblem:
 
 @dataclass
 class LevelResult:
-    """One solved level.  iterations counts Newton steps, gap is the final
-    barrier's m / t, and start_count is always 1."""
+    """One solved level.  iterations counts every Newton step, phase 1's
+    too, gap is the final barrier's m / t, and start_count is always 1."""
 
     level: int
     row_count: int
@@ -398,7 +398,8 @@ def _phase_one(G, h, b, scale):
     """A point strictly inside {G b > h}: barrier phase 1 from b, which
     maximizes s subject to G b - h >= s on the rows normalized to unit
     length (the boxes bound s), from s = min slack - 1.  The level is
-    infeasible when the optimal s is at most 1e-9 scale."""
+    infeasible when the optimal s is at most 1e-9 scale.  Returns (b,
+    Newton steps)."""
     norms = np.linalg.norm(G, axis=1)
     norms[norms == 0] = 1.0
     G_s = np.hstack([G / norms[:, None], -np.ones((G.shape[0], 1))])
@@ -406,14 +407,13 @@ def _phase_one(G, h, b, scale):
     n = G.shape[1]
     unit, flat = -np.eye(n + 1)[n], np.zeros((n + 1, n + 1))
     z0 = np.append(b, (G_s[:, :n] @ b - h).min() - 1.0)
-    z = _newton_barrier(lambda z: (-z[n], unit, flat), G_s, h, z0)[0]
+    z, steps, _ = _newton_barrier(lambda z: (-z[n], unit, flat), G_s, h, z0)
     if z[n] <= 1e-9 * scale:
         raise InfeasibleLevel("no strictly feasible point for the level")
-    return z[:n]
+    return z[:n], steps
 
 
-def solve_level(problem: GalerkinProblem, level: int, *, cone=None,
-                kappa_hat=None) -> LevelResult:
+def solve_level(problem: GalerkinProblem, level: int) -> LevelResult:
     """Solve the discretized problem on one level of the sequence.
 
     Every objective is convex on the cone of linear rows (`_level_rows`),
@@ -425,8 +425,7 @@ def solve_level(problem: GalerkinProblem, level: int, *, cone=None,
     """
     t_start = time.perf_counter()
     ns = problem.sequence.levels[level]
-    if cone is None:
-        cone = prune_redundant(compile_cone(ns))
+    cone = prune_redundant(compile_cone(ns))
     lower = project_coords(problem.inner_body, ns).coords.b
     upper = project_coords(problem.outer_body, ns).coords.b
     gap_tol = 1e-9 * (1.0 + float(np.abs(upper).max()))
@@ -434,8 +433,8 @@ def solve_level(problem: GalerkinProblem, level: int, *, cone=None,
         raise InfeasibleLevel("inner projection exceeds the outer projection")
 
     outer_norm = problem.outer_body.norm()
-    if kappa_hat is None and (problem.report_kappa
-                              or problem.kappa_shift == "estimate"):
+    kappa_hat = None
+    if problem.report_kappa or problem.kappa_shift == "estimate":
         kappa_hat = estimate_kappa(ns, problem.kappa_samples)
     if problem.kappa_shift in (None, 0, 0.0):
         kappa_used = 0.0
@@ -449,8 +448,9 @@ def solve_level(problem: GalerkinProblem, level: int, *, cone=None,
     G, h = _level_rows(cone, shifted, lower, upper)
     scale = 1.0 + float(np.abs(h).max(initial=0.0))
     b0 = (1.0 - problem.lam) * lower + problem.lam * outer_norm
+    start_steps = 0
     if not (G @ b0 - h).min() > 1e-9 * scale:
-        b0 = _phase_one(G, h, b0, scale)
+        b0, start_steps = _phase_one(G, h, b0, scale)
     phi, G_z, h_z = _convex_objective(objective, cone, G, h)
     z0 = b0
     if objective.kind == TARGET_TRACKING:
@@ -470,7 +470,7 @@ def solve_level(problem: GalerkinProblem, level: int, *, cone=None,
                        realization=realization,
                        objective_value=objective.value(b, realization),
                        constraint_values=constraint_values,
-                       kappa_hat=kappa_hat, iterations=steps,
+                       kappa_hat=kappa_hat, iterations=start_steps + steps,
                        wall_ms=wall_ms, start_count=1, gap=gap)
 
 

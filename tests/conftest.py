@@ -6,6 +6,10 @@ from hypothesis import assume, strategies as st
 
 from polygal import (LinearProgram, compile_cone, solve_lp,
                      spherical_grid_normals, validate_normals)
+from polygal.cone import _all_subsets, _positive_combinations
+from polygal.galerkin import (_hull_subsets, _kappa_directions,
+                              _mixture_minimum, _subset_solvers,
+                              _vertex_cost_minima)
 from polygal.lp import (OPTIMAL, UNBOUNDED, VERTEX_DEDUP_TOL,
                         _solve_subsystems, feasibility_slack)
 
@@ -65,6 +69,60 @@ def exhaustive_vertices(A, b):
     active = [tuple(np.nonzero(col)[0].tolist()) for col in activity.T]
     order = sorted(range(len(active)), key=active.__getitem__)
     return x[order].reshape(-1, d), tuple(active[j] for j in order)
+
+
+def dual_vertices_for_direction(ns, c):
+    """Dual vertex oracle: the extreme points of {p >= 0 : A^T p = c} as
+    (support, weights) pairs in lexicographic order of the supports.
+
+    Every subset of at most d normals is solved by its own SVD, as the cone
+    compiler solves its candidates, and kept when its columns are
+    independent and its solution is strictly positive and exact.
+    """
+    supports, weights = _positive_combinations(
+        ns.matrix.T, np.asarray(c, dtype=float),
+        _all_subsets(np.arange(ns.count), range(1, ns.dimension + 1)),
+        ns.dimension)
+    return [(tuple(s[s >= 0].tolist()), tuple(w[s >= 0].tolist()))
+            for s, w in zip(supports, weights)]
+
+
+def representation_cost(ns, c, support, weights):
+    """sum_i w_i |a_i - c / sum w| of one dual representation."""
+    weights = np.asarray(weights)
+    shrunk = c / weights.sum()
+    gaps = np.linalg.norm(ns.matrix[list(support)] - shrunk, axis=1)
+    return float(weights @ gaps)
+
+
+def reference_direction_cost(ns, c):
+    """Kappa cost oracle of one direction: the cheapest of the oracle's
+    dual vertices and of the two-point mixtures of the four cheapest,
+    ordered by cost and then by support."""
+    vertices = dual_vertices_for_direction(ns, c)
+    costs = sorted((representation_cost(ns, c, *v), i)
+                   for i, v in enumerate(vertices))
+    best = costs[0][0]
+    leaders = [vertices[i] for _, i in costs[:4]]
+    for rep_a, rep_b in itertools.combinations(leaders, 2):
+        best = min(best, _mixture_minimum(ns, c, rep_a, rep_b))
+    return best
+
+
+def reference_kappa(ns):
+    """Kappa oracle: directions bounded by their cheapest dual vertex on
+    the normals' hull facets are refined with `reference_direction_cost` in
+    decreasing bound until the bound cannot beat the worst cost found."""
+    dirs = _kappa_directions(ns, 1024 if ns.dimension == 2 else 10_000)
+    bound = _vertex_cost_minima(ns, dirs,
+                                _subset_solvers(ns, _hull_subsets(ns)))
+    assert np.isfinite(bound).all()
+    worst = -np.inf
+    for idx in np.argsort(-bound):
+        if bound[idx] <= worst:
+            break
+        worst = max(worst, reference_direction_cost(ns, dirs[idx]))
+    return float(worst)
 
 
 def touching_for(cone, k):

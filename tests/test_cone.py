@@ -3,12 +3,11 @@ import pytest
 
 from polygal import (BadDimension, DuplicateRow, LinearProgram, UnboundedSpace,
                      ZeroRow, check_bounded, classify, compile_cone,
-                     dual_vertices_for_direction, extreme_points_diamond,
-                     extreme_points_touching, prune_redundant, solve_lp,
-                     validate_normals)
+                     extreme_points_diamond, extreme_points_touching,
+                     prune_redundant, solve_lp, validate_normals)
 from polygal.cone import INDEP_TOL, RESIDUAL_TOL
 
-from conftest import regular_normals, touching_for
+from conftest import dual_vertices_for_direction, regular_normals, touching_for
 
 
 def diamond_remark_holds(ns, vertex) -> bool:
@@ -260,7 +259,7 @@ def test_dual_vertices_refine_lp_certificates(hexagon_ns):
         p = out.dual_certificate
         support = set(np.nonzero(p > 1e-9)[0].tolist())
         vertices = dual_vertices_for_direction(hexagon_ns, c)
-        assert any(set(v.support) <= support for v in vertices)
+        assert any(set(v_support) <= support for v_support, _ in vertices)
 
 
 def test_membership_equals_definitional_check(hexagon_cone):

@@ -23,7 +23,8 @@ from polygal.normals import check_bounded
 from polygal.spheres import fibonacci_sphere
 
 from conftest import (TRANSFORMS, bounded_planar_systems, random_point_hull,
-                      regular_normals, rotated_grid_3d, transformed_grid)
+                      reference_kappa, regular_normals, rotated_grid_3d,
+                      transformed_grid)
 
 
 def dense_vertex_cost_minima(ns, dirs, solvers, chunk=32):
@@ -34,7 +35,7 @@ def dense_vertex_cost_minima(ns, dirs, solvers, chunk=32):
     for start in range(0, dirs.shape[0], chunk):
         C = dirs[start:start + chunk]
         best = np.full(C.shape[0], np.inf)
-        for rows, E, pinv in solvers:
+        for _, rows, E, pinv in solvers:
             W = np.einsum("psd,cd->cps", pinv, C)
             resid = np.einsum("pds,cps->cpd", E, W) - C[:, None, :]
             valid = (np.abs(resid).max(axis=2) <= 1e-9) & \
@@ -58,14 +59,14 @@ def exhaustive_kappa(ns):
     vertex over every independent subset, and directions are refined in
     decreasing bound until the bound cannot beat the worst cost found."""
     dirs = _kappa_directions(ns, 1024 if ns.dimension == 2 else 10_000)
-    minima = _vertex_cost_minima(ns, dirs,
-                                 _subset_solvers(ns, _every_subset(ns)))
+    every = _subset_solvers(ns, _every_subset(ns))
+    minima = _vertex_cost_minima(ns, dirs, every)
     assert np.isfinite(minima).all()
     worst = -np.inf
     for idx in np.argsort(-minima):
         if minima[idx] <= worst:
             break
-        worst = max(worst, _direction_cost(ns, dirs[idx]))
+        worst = max(worst, _direction_cost(ns, dirs[idx], every))
     return float(worst)
 
 
@@ -505,6 +506,47 @@ def test_kappa_falls_back_to_every_subset(monkeypatch, ns, kept):
     monkeypatch.setattr(galerkin_module, "_every_subset", every)
     assert estimate_kappa(ns).hex() == reference.hex()
     assert len(full) == 1
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.one_of(
+    bounded_planar_systems(),
+    st.builds(transformed_grid, st.integers(3, 7), st.sampled_from(TRANSFORMS),
+              st.integers(0, 2**32 - 1)),
+    st.builds(rotated_grid_3d, st.just(2), st.integers(0, 2**32 - 1)),
+    st.sampled_from(list(POLYHEDRA.values()))))
+@example(transformed_grid(7, "rotation", 7))
+@example(rotated_grid_3d(2, 1))
+@example(POLYHEDRA["cuboctahedron"])
+def test_kappa_matches_the_per_direction_enumeration(ns):
+    reference = reference_kappa(ns)
+    assert abs(estimate_kappa(ns) - reference) <= 1e-14 * reference
+
+
+@pytest.mark.parametrize("ns", [
+    *(transformed_grid(level, transform, seed=level)
+      for level in (3, 4, 5, 6) for transform in TRANSFORMS),
+    spherical_grid_normals(3, 2), rotated_grid_3d(2, 1)], ids=[
+    *(f"{transform}-{level}" for level in (3, 4, 5, 6)
+      for transform in TRANSFORMS), "spatial", "spatial-rotated"])
+def test_refined_cost_never_exceeds_the_bound(monkeypatch, ns):
+    # The stop rule of estimate_kappa is exact only if every refined
+    # direction costs at most its bound, in floating point.
+    refined = []
+
+    def recorded(system, c, *args):
+        cost = _direction_cost(system, c, *args)
+        refined.append((c, cost))
+        return cost
+
+    monkeypatch.setattr(galerkin_module, "_direction_cost", recorded)
+    estimate_kappa(ns)
+    dirs = _kappa_directions(ns, 1024 if ns.dimension == 2 else 10_000)
+    bound = _vertex_cost_minima(ns, dirs,
+                                _subset_solvers(ns, _hull_subsets(ns)))
+    assert np.isfinite(bound).all() and refined
+    for c, cost in refined:
+        assert (cost <= bound[(dirs == c).all(axis=1)]).all()
 
 
 def test_kappa_without_a_representation_raises(monkeypatch):

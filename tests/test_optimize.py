@@ -271,7 +271,7 @@ def test_irregular_isoperimetric_level_reaches_lindelof(ns):
 
 
 @pytest.mark.parametrize("level", [3, 6])
-def test_tight_cap_starts_from_barrier_phase_one(level):
+def test_tight_cap_starts_from_barrier_phase_one(monkeypatch, level):
     # On the rows of level 6 (N = 128, 385 rows) the simplex raises
     # NumericalFailure.
     seq = GalerkinSequence.from_grid(2, [level])
@@ -279,9 +279,20 @@ def test_tight_cap_starts_from_barrier_phase_one(level):
     problem = isoperimetric_problem(seq, limit=1.0)
     blend = problem.lam * problem.outer_body.norm() * np.ones(ns.count)
     assert planar_forms(ns)[1] @ blend > 1.0
+    steps = []
+    barrier = optimize_module._newton_barrier
+
+    def counted(*args):
+        out = barrier(*args)
+        steps.append(out[1])
+        return out
+
+    monkeypatch.setattr(optimize_module, "_newton_barrier", counted)
     result = solve_level(problem, 0)
     exact = lindelof_area(ns, 1.0)
     assert abs(polygon_area(result.realization) - exact) <= 1e-10 * exact
+    # Phase 1 and the level's barrier: iterations counts both.
+    assert len(steps) == 2 and result.iterations == sum(steps)
 
 
 def tight_cap_rows(level):
@@ -302,7 +313,7 @@ def tight_cap_rows(level):
 def test_phase_one_reaches_the_lp_largest_slack(level):
     G, h, blend, scale = tight_cap_rows(level)
     assert (G @ blend - h).min() < 0.0
-    b = optimize_module._phase_one(G, h, blend, scale)
+    b, _ = optimize_module._phase_one(G, h, blend, scale)
     norms = np.linalg.norm(G, axis=1)
     s_lp = chebyshev_slack(G, h)
     assert s_lp > 0.0
