@@ -12,7 +12,7 @@ import numpy as np
 
 from .cone import CompiledCone, DIAMOND
 from .errors import EmptyPolytope, ExteriorCoordinates, NumericalFailure, UnboundedRegion
-from .lp import (_close_pairs, _combinations_array, _solve_subsystems,
+from .lp import (_close_pairs, _solve_subsystems,
                  enumerate_primal_vertices, farkas_feasible, feasibility_slack,
                  vertex_points)
 from .normals import NormalSystem, check_bounded
@@ -132,7 +132,12 @@ def realize(b, cone: CompiledCone, *, precomputed_class=None) -> PolytopeRealiza
     cv = precomputed_class or classify(b, cone)
     if cv.classification == EXTERIOR:
         raise ExteriorCoordinates("coordinates lie outside the cone")
-    ns = cone.normal_system
+    return _realize_admissible(cone.normal_system, b)
+
+
+def _realize_admissible(ns: NormalSystem, b) -> PolytopeRealization:
+    """The part of `realize` after classification: the certified planar
+    path where it applies, else the line clipping."""
     if ns.dimension == 2:
         real = _realize_planar(ns, b)
         if real is not None:
@@ -196,6 +201,30 @@ def planar_forms(ns: NormalSystem):
     lam.setflags(write=False)
     w.setflags(write=False)
     cached = ns._cache["planar_forms"] = (lam, w)
+    return cached
+
+
+def planar_touching_rows(ns: NormalSystem) -> np.ndarray:
+    """The touching rows of a bounded planar system, cached on `ns`: row k
+    of Lam divided by -Lam_kk, for every k with Lam_kk < 0.
+
+    Lam_kk = -(cot alpha + cot beta), alpha and beta the angles from a_k to
+    its two neighbours, is negative exactly when a_k is a positive
+    combination p of the neighbours (alpha + beta < pi).  The scaled row
+    is then the touching column p - e_k of the pruned cone, with -1 at k:
+    Cramer's rule gives p = (sin beta, sin alpha) / sin(alpha + beta),
+    which is (1 / sin alpha, 1 / sin beta) / (cot alpha + cot beta).  A
+    facet without such a column has no touching condition: there Lam_k b
+    >= 0 is a nonemptiness condition, which a solve's inner box implies.
+    """
+    cached = ns._cache.get("planar_touching_rows")
+    if cached is None:
+        lam = planar_forms(ns)[0]
+        diag = np.diag(lam)
+        touching = np.flatnonzero(diag < 0.0)
+        cached = lam[touching] / -diag[touching, None]
+        cached.setflags(write=False)
+        ns._cache["planar_touching_rows"] = cached
     return cached
 
 
@@ -271,28 +300,12 @@ def support_coordinates(real: PolytopeRealization) -> np.ndarray:
     return (real.normals.matrix @ real.vertices.T).max(axis=1)
 
 
-def _affine_faces(A, b):
-    """Per subset size, the rows, Gram matrices and right-hand sides of the
-    independent row subsets of {x : Ax <= b} (d <= 3); they do not depend
-    on the point being projected."""
-    n, d = A.shape
-    faces = []
-    for size in range(1, d + 1):
-        combos = _combinations_array(n, size)
-        As = A[combos]                                   # (P, s, d)
-        G = As @ As.transpose(0, 2, 1)
-        ok = np.linalg.det(G) > 1e-16
-        if ok.any():
-            faces.append((As[ok], G[ok], b[combos[ok]]))
-    return faces
+def _projection_distance(v, A, b, slack, faces):
+    """Distance from v to its nearest projection onto the affine hulls of
+    `faces` that lies in {x : Ax <= b}; inf when none does.
 
-
-def _point_to_polytope(v, A, b, slack, faces):
-    """Exact Euclidean distance from a point outside {x : Ax <= b} to it
-    (d <= 3).
-
-    Projects onto the affine hulls of the `_affine_faces` and keeps
-    feasible candidates; the projection onto the polytope is among them.
+    faces holds, per subset size, the rows (P, s, d), their Gram matrices
+    and right-hand sides of independent row subsets.
     """
     best = np.inf
     for As, G, bs in faces:
@@ -302,20 +315,50 @@ def _point_to_polytope(v, A, b, slack, faces):
         if feas.any():
             dist = np.linalg.norm(x[feas] - v[None, :], axis=1).min()
             best = min(best, float(dist))
-    if not np.isfinite(best):
-        raise NumericalFailure("point projection found no feasible candidate")
     return best
 
 
+def _realized_faces(real: PolytopeRealization):
+    """The faces of `_projection_distance` that a realization spans: the rows
+    whose facet has a vertex and, in d = 3, the independent row pairs that
+    share at least two vertices (the edge lines)."""
+    A, b = real.normals.matrix, real.b
+    subsets = [np.array([[k] for k, idx in enumerate(real.facet_vertices)
+                         if idx], dtype=np.intp).reshape(-1, 1)]
+    if real.dimension == 3:
+        incidence = np.zeros((real.vertex_count, real.normals.count), dtype=int)
+        for v, active in enumerate(real.active_sets):
+            incidence[v, list(active)] = 1
+        subsets.append(np.argwhere(np.triu(incidence.T @ incidence >= 2, 1)))
+    faces = []
+    for combos in subsets:
+        As = A[combos]                                   # (P, s, d)
+        G = As @ As.transpose(0, 2, 1)
+        ok = np.linalg.det(G) > 1e-16
+        if ok.any():
+            faces.append((As[ok], G[ok], b[combos[ok]]))
+    return faces
+
+
 def _directed_distance(source: PolytopeRealization, target: PolytopeRealization):
+    """max over the source's vertices of the distance to the target.
+
+    The projection of a point onto the target lies in the relative
+    interior of one face, so it is the projection onto that face's affine
+    hull: a vertex, a facet's hyperplane or, in d = 3, an edge line.  The
+    vertices are in the target, and only projections inside it are kept,
+    so the smallest candidate distance is exact.
+    """
     A = target.normals.matrix
     b = target.b
     slack = feasibility_slack(b)
     outside = [v for v in source.vertices if not ((A @ v) <= b + slack).all()]
     if not outside:
         return 0.0
-    faces = _affine_faces(A, b)
-    return max(_point_to_polytope(v, A, b, slack, faces) for v in outside)
+    faces = _realized_faces(target)
+    return max(min(float(np.linalg.norm(target.vertices - v, axis=1).min()),
+                   _projection_distance(v, A, b, slack, faces))
+               for v in outside)
 
 
 def hausdorff_polytopes(real1: PolytopeRealization,
@@ -324,7 +367,8 @@ def hausdorff_polytopes(real1: PolytopeRealization,
 
     The supremum over a polytope of the (convex) distance-to-the-other-set
     function is attained at a vertex, so vertex-to-polytope projections give
-    the exact value.
+    the exact value.  Each vertex is projected onto the faces the other
+    realization spans (`_directed_distance`), not onto every row subset.
     """
     if real1.vertex_count == 0 or real2.vertex_count == 0:
         raise EmptyPolytope("realizations must be nonempty")

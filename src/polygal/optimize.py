@@ -1,12 +1,16 @@
 """Constrained optimization over nested polytope spaces.
 
 Each level minimizes an objective in coordinates subject to cone membership
-(touching columns only; the nonemptiness conditions are implied by the inner
-box), support boxes from the inner/outer bodies, and shifted functional
-constraints.  Every constraint is a linear row in coordinates: in d = 2 the
-perimeter is w . b (see `coordinates.planar_forms`).  Every objective is
-convex on the cone, so each level is solved by one damped Newton barrier
-path from one start, to within a duality gap m / t that the result reports.
+(touching conditions only; the nonemptiness conditions are implied by the
+inner box), support boxes from the inner/outer bodies, and shifted
+functional constraints.  Every constraint is a linear row in coordinates.
+In d = 2 the rows come from the facet-length form Lam of
+`coordinates.planar_forms`: the touching rows are its rows with a negative
+diagonal (`coordinates.planar_touching_rows`) and the perimeter is w . b,
+so no cone is compiled.  In d = 3 they are the pruned cone's touching
+columns.  Every objective is convex on the cone, so each level is solved by
+one damped Newton barrier path from one start, to within a duality gap
+m / t that the result reports.
 """
 
 from dataclasses import dataclass, field
@@ -17,10 +21,11 @@ import numpy as np
 from .bodies import ConvexBody, project_coords
 from .cone import compile_cone, prune_redundant
 from .coordinates import (CoordinateVector, INTERIOR, PolytopeRealization,
+                          _realize_admissible, classification_band,
                           facet_area_jacobian, facet_lengths_2d,
-                          hausdorff_polytopes, planar_forms, polytope_volume,
-                          realize)
-from .errors import InfeasibleLevel, NumericalFailure
+                          hausdorff_polytopes, planar_forms,
+                          planar_touching_rows, polytope_volume, realize)
+from .errors import ExteriorCoordinates, InfeasibleLevel, NumericalFailure
 from .galerkin import GalerkinSequence, estimate_kappa
 
 NEG_VOLUME = "neg_volume"
@@ -253,13 +258,13 @@ class SequenceResult:
     cross_level: list
 
 
-def _level_rows(cone, shifted, lower, upper):
-    """The linear rows G b - h > 0 of one level: touching membership
-    columns, the inner/outer support boxes and the shifted constraints."""
-    ns = cone.normal_system
+def _level_rows(ns, touching, shifted, lower, upper):
+    """The linear rows G b - h > 0 of one level: the touching rows (in
+    d = 2 `planar_touching_rows`, in d = 3 the pruned cone's touching
+    columns), the inner/outer support boxes and the shifted constraints."""
     eye = np.eye(ns.count)
-    rows = [cone.matrix(touching_only=True).T, eye, -eye]
-    offsets = [np.zeros(rows[0].shape[0]), lower, -upper]
+    rows = [touching, eye, -eye]
+    offsets = [np.zeros(touching.shape[0]), lower, -upper]
     for sc in shifted:
         if sc.spec.kind == SUPPORT_BOX:
             if sc.spec.upper is not None:
@@ -280,7 +285,7 @@ def _level_rows(cone, shifted, lower, upper):
     return np.vstack(rows), np.concatenate(offsets)
 
 
-def _convex_objective(objective, cone, G, h):
+def _convex_objective(objective, ns, cone, G, h):
     """(phi, G, h): the level objective as a convex phi(z) returning value,
     gradient and Hessian, on the barrier variables z with their rows.
 
@@ -290,8 +295,8 @@ def _convex_objective(objective, cone, G, h):
     quadratic form of `planar_forms`, in d = 3 it is read off one
     realization, with the Hessian J = `facet_area_jacobian` and the facet
     areas J b / 2 (Euler; exact at the interior b the barrier visits).
+    Only that d = 3 volume reads the cone; elsewhere it may be None.
     """
-    ns = cone.normal_system
     n = ns.count
     if objective.kind == LINEAR_SUPPORT:
         w, flat = objective.weights, np.zeros((n, n))
@@ -425,7 +430,11 @@ def solve_level(problem: GalerkinProblem, level: int) -> LevelResult:
     """
     t_start = time.perf_counter()
     ns = problem.sequence.levels[level]
-    cone = prune_redundant(compile_cone(ns))
+    if ns.dimension == 2:
+        cone, touching = None, planar_touching_rows(ns)
+    else:
+        cone = prune_redundant(compile_cone(ns))
+        touching = cone.matrix(touching_only=True).T
     lower = project_coords(problem.inner_body, ns).coords.b
     upper = project_coords(problem.outer_body, ns).coords.b
     gap_tol = 1e-9 * (1.0 + float(np.abs(upper).max()))
@@ -445,13 +454,13 @@ def solve_level(problem: GalerkinProblem, level: int) -> LevelResult:
     shifted = shift_constraints(problem.constraints, kappa_used, outer_norm)
 
     objective = problem.objective.resolve(ns)
-    G, h = _level_rows(cone, shifted, lower, upper)
+    G, h = _level_rows(ns, touching, shifted, lower, upper)
     scale = 1.0 + float(np.abs(h).max(initial=0.0))
     b0 = (1.0 - problem.lam) * lower + problem.lam * outer_norm
     start_steps = 0
     if not (G @ b0 - h).min() > 1e-9 * scale:
         b0, start_steps = _phase_one(G, h, b0, scale)
-    phi, G_z, h_z = _convex_objective(objective, cone, G, h)
+    phi, G_z, h_z = _convex_objective(objective, ns, cone, G, h)
     z0 = b0
     if objective.kind == TARGET_TRACKING:
         z0 = np.append(b0, 1.0 + 2.0 * np.abs(b0 - objective.target).max())
@@ -461,7 +470,12 @@ def solve_level(problem: GalerkinProblem, level: int) -> LevelResult:
     if (G @ b - h).min() < -problem.tolerances.feas_eps * scale:
         raise NumericalFailure("solver returned an infeasible point")
 
-    realization = realize(b, cone)
+    if cone is not None:
+        realization = realize(b, cone)
+    elif (touching @ b < -classification_band(b)).any():
+        raise ExteriorCoordinates("coordinates lie outside the cone")
+    else:
+        realization = _realize_admissible(ns, b)
     constraint_values = (np.concatenate(
         [sc.values(b, realization) for sc in shifted])
         if shifted else np.zeros(0))

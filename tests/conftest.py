@@ -7,11 +7,13 @@ from hypothesis import assume, strategies as st
 from polygal import (LinearProgram, compile_cone, solve_lp,
                      spherical_grid_normals, validate_normals)
 from polygal.cone import _all_subsets, _positive_combinations
+from polygal.coordinates import _projection_distance
 from polygal.galerkin import (_hull_subsets, _kappa_directions,
                               _mixture_minimum, _subset_solvers,
                               _vertex_cost_minima)
 from polygal.lp import (OPTIMAL, UNBOUNDED, VERTEX_DEDUP_TOL,
-                        _solve_subsystems, feasibility_slack)
+                        _combinations_array, _solve_subsystems,
+                        feasibility_slack)
 
 
 def regular_normals(n, offset=0.0):
@@ -123,6 +125,40 @@ def reference_kappa(ns):
             break
         worst = max(worst, reference_direction_cost(ns, dirs[idx]))
     return float(worst)
+
+
+def affine_faces(A, b):
+    """Hausdorff face oracle: per subset size, the rows, Gram matrices and
+    right-hand sides of every independent row subset of {x : Ax <= b}
+    (d <= 3)."""
+    n, d = A.shape
+    faces = []
+    for size in range(1, d + 1):
+        combos = _combinations_array(n, size)
+        As = A[combos]                                   # (P, s, d)
+        G = As @ As.transpose(0, 2, 1)
+        ok = np.linalg.det(G) > 1e-16
+        if ok.any():
+            faces.append((As[ok], G[ok], b[combos[ok]]))
+    return faces
+
+
+def reference_hausdorff(real1, real2):
+    """Hausdorff oracle: each vertex outside the other polytope is
+    projected onto the affine hulls of all its `affine_faces`, and the
+    nearest feasible projection is its distance."""
+    def directed(source, target):
+        A, b = target.normals.matrix, target.b
+        slack = feasibility_slack(b)
+        faces = affine_faces(A, b)
+        worst = 0.0
+        for v in source.vertices:
+            if not ((A @ v) <= b + slack).all():
+                dist = _projection_distance(v, A, b, slack, faces)
+                assert np.isfinite(dist)
+                worst = max(worst, dist)
+        return worst
+    return max(directed(real1, real2), directed(real2, real1))
 
 
 def touching_for(cone, k):

@@ -3,17 +3,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polygal import (EmptyPolytope, ExteriorCoordinates, LinearProgram,
-                     UnboundedRegion, canonicalize, classify, compile_cone,
-                     diagnose_boundary, enumerate_primal_vertices,
-                     facet_dimension, farkas_feasible, hausdorff_polytopes,
-                     perimeter_2d, polygon_area, project_interior, realize,
+                     PointHull, UnboundedRegion, canonicalize, classify,
+                     compile_cone, diagnose_boundary,
+                     enumerate_primal_vertices, facet_dimension,
+                     farkas_feasible, hausdorff_polytopes, perimeter_2d,
+                     polygon_area, project_coords, project_interior, realize,
                      solve_lp, support_coordinates, validate_normals)
-from polygal.coordinates import (facet_lengths_2d, phi_expansion_ratio,
-                                 planar_forms)
+from polygal.coordinates import (_realize_admissible, facet_lengths_2d,
+                                 phi_expansion_ratio, planar_forms)
 from polygal.lp import OPTIMAL
 
-from conftest import (bounded_planar_systems, random_point_hull,
-                      regular_normals, rotated_grid_3d)
+from conftest import (TRANSFORMS, bounded_planar_systems, random_point_hull,
+                      reference_hausdorff, regular_normals, rotated_grid_3d,
+                      transformed_grid)
 
 
 def interior_sample(rng, cone, radius=1.0):
@@ -190,6 +192,39 @@ def test_hausdorff_examples(square_cone):
     assert hausdorff_polytopes(unit, unit) == 0.0
     seg = realize(np.array([1.0, 1.0, -1.0, 1.0]), square_cone)
     assert hausdorff_polytopes(unit, seg) == pytest.approx(2.0, abs=1e-9)
+
+
+@st.composite
+def realization_pairs(draw):
+    """Realizations of two point hulls: on planar grid levels 3-5 under one
+    of TRANSFORMS, or on rotations of d = 3 grid level 2.  A hull of one
+    to three points realizes on the cone's boundary (a point, a segment or,
+    in d = 3, a triangle).  Support values are admissible, so the
+    realization skips the classification."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        transform = draw(st.sampled_from(TRANSFORMS))
+        systems = [transformed_grid(draw(st.integers(3, 5)), transform, seed)
+                   for _ in range(2)]
+    else:
+        systems = [rotated_grid_3d(2, seed), rotated_grid_3d(2, seed + 1)]
+    d = systems[0].dimension
+    rng = np.random.default_rng(seed)
+    reals = []
+    for ns in systems:
+        count = draw(st.integers(1, 6))
+        center = rng.uniform(-0.5, 0.5, d)
+        hull = PointHull(center + rng.uniform(0.05, 1.0) * rng.normal(
+            size=(count, d)))
+        reals.append(_realize_admissible(ns, project_coords(hull, ns).coords.b))
+    return reals
+
+
+@settings(max_examples=40, deadline=None)
+@given(realization_pairs())
+def test_hausdorff_matches_the_all_subset_projection(reals):
+    exact = reference_hausdorff(*reals)
+    assert abs(hausdorff_polytopes(*reals) - exact) <= 1e-12 * (1.0 + exact)
 
 
 def test_round_trip_and_inverse_lipschitz_random():

@@ -10,12 +10,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from polygal import (DuplicateRow, UnboundedSpace, check_bounded,
+from polygal import (DuplicateRow, UnboundedSpace, check_bounded, classify,
                      compile_cone, prune_redundant, validate_normals)
-from polygal.cone import _compile, _contains_smaller, _prune_group_generic
+from polygal.cone import (DIAMOND_TARGET, _compile, _contains_smaller,
+                          _prune_group_generic)
+from polygal.coordinates import (EXTERIOR, classification_band, planar_forms,
+                                 planar_touching_rows)
 from polygal.lp import BOUNDED_MARGIN
 
-from conftest import TRANSFORMS, regular_normals, transformed_grid
+from conftest import (TRANSFORMS, bounded_planar_systems, regular_normals,
+                      transformed_grid)
 
 
 def pairwise_prune(cone):
@@ -156,3 +160,41 @@ def test_prefix_minimum_matches_pairwise_at_tolerance_ties(steps, b_left,
     got = (_contains_smaller(left, right, tol)
            | _contains_smaller(right, left, tol))
     assert np.array_equal(got, pairwise_witness(left, right, tol))
+
+
+def triangle(angles):
+    return validate_normals(np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_planar_systems(max_level=5), st.integers(0, 2**32 - 1))
+@example(regular_normals(3), 0)
+@example(triangle([0.3, 2.0, 4.1]), 1)
+@example(triangle([0.0, 0.1, 3.2]), 2)
+def test_planar_touching_rows_are_the_pruned_touching_columns(ns, seed):
+    cone = prune_redundant(compile_cone(ns))
+    rows = planar_touching_rows(ns)
+    facets = np.flatnonzero(np.diag(planar_forms(ns)[0]) < 0.0)
+    # One surviving touching column per facet with Lam_kk < 0, and only
+    # those facets have one.
+    columns = cone.matrix(touching_only=True)
+    targets = cone.target[cone.column_indices(touching_only=True)]
+    assert np.array_equal(targets, facets)
+    assert rows.shape == (facets.size, ns.count)
+    for row, column in zip(rows, columns.T):
+        assert np.abs(row - column).max() <= 1e-11 * np.abs(column).max()
+    # The rows' band label is classify's, except where only diamond
+    # columns, which the inner box implies in a solve, are negative.
+    diamond = cone.target[cone.column_indices()] == DIAMOND_TARGET
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        b = (ns.matrix @ rng.uniform(-0.5, 0.5, 2) + rng.uniform(0.5, 1.5)
+             + rng.choice([0.0, 0.1, 0.5, 1.0])
+             * rng.uniform(-1.0, 1.0, ns.count))
+        band = classification_band(b)
+        exterior = bool((rows @ b < -band).any())
+        negative = cone.matrix().T @ b < -band
+        if classify(b, cone).classification != EXTERIOR:
+            assert not exterior
+        elif not exterior:
+            assert diamond[negative].all()
