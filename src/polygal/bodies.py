@@ -14,8 +14,7 @@ import numpy as np
 from .cone import CompiledCone
 from .coordinates import (CoordinateVector, INTERIOR, PolytopeRealization,
                           classify, realize)
-from .errors import (DegenerateBody, EmptyPolytope, NumericalFailure,
-                     UnboundedBody)
+from .errors import DegenerateBody, NumericalFailure, UnboundedBody
 from .lp import farkas_feasible, recession_bounded, vertex_points
 from .normals import NormalSystem
 from .spheres import covering_mesh, unit_directions
@@ -161,12 +160,6 @@ class Scaled(ConvexBody):
 
     def norm(self):
         return self.factor * self.body.norm()
-
-
-def body_from_realization(real: PolytopeRealization) -> PointHull:
-    if real.vertex_count == 0:
-        raise EmptyPolytope("realization has no vertices")
-    return PointHull(real.vertices)
 
 
 def support(body: ConvexBody, direction) -> float:

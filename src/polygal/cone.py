@@ -3,8 +3,12 @@
 Enumerates the extreme points of the normalized dual slice
 {p >= 0 : A^T p = 0, 1^T p = 1} and of the dual polyhedra
 {p >= 0 : A^T p = a_k}, assembles the inequality matrix whose columns test
-cone membership via column . b >= 0, and prunes touching conditions whose
-generator cone strictly contains the cone of another condition.
+cone membership via column . b >= 0, and prunes the columns that others
+imply.  In d = 3 that is every touching condition whose generator cone
+strictly contains the cone of another condition.  In d = 2 it is closed
+form: each facet keeps the condition on its two angle-adjacent normals,
+and the diamonds go when every facet keeps one, which leaves the N
+adjacent-triple conditions.
 
 Enumeration runs over index subsets: supports of dual vertices are linearly
 independent sets, so each candidate subset is checked by one small
@@ -35,10 +39,11 @@ DIAMOND_TARGET = -1
 # Subset enumeration costs C(N, d) small solves; sizes above these bounds
 # need an explicit override.  In d = 2 the bound keeps compile_cone +
 # prune_redundant + classify of a regular system under 2 GB of peak RSS:
-# N = 272 measured 1,877 MiB and N = 273 measured 1,936 MiB (2.03 GB) on
-# Linux x86-64, numpy 2.4.  The dense classify matrix dominates; it holds
-# about N^3 / 24 diamond columns of N floats each.
-SIZE_GUARDS = {2: 272, 3: 64}
+# N = 482 measured 1,885 MiB and N = 483 measured 1,909 MiB (2.002 GB) on
+# Linux x86-64, numpy 2.4, one BLAS thread.  The compile's flat column
+# arrays dominate (about N^3 / 6 columns); the pruned cone's classify
+# matrix is N x N.
+SIZE_GUARDS = {2: 482, 3: 64}
 _CHUNK = 200_000
 
 # Sign margin of the d = 2 candidate filter.  It must exceed
@@ -394,68 +399,52 @@ def _prune_group_generic(ns, supports):
     return np.flatnonzero((contains & ~same).any(axis=1))
 
 
-def _contains_smaller(x, y, tol):
-    """Mask over j: some i has x_i < x_j - tol and y_i <= y_j + tol.
-
-    The i with x_i < x_j - tol are a prefix of the order by x, so the test
-    is a prefix minimum of y.  It uses the same float comparisons as the
-    all-pairs test."""
-    order = np.argsort(x, kind="stable")
-    prefix_min = np.minimum.accumulate(y[order])
-    count = np.searchsorted(x[order], x - tol, side="left")
-    hit = count > 0
-    out = np.zeros(x.size, dtype=bool)
-    out[hit] = prefix_min[count[hit] - 1] <= y[hit] + tol
-    return out
-
-
-def _prune_group_planar(ns, k, supports):
-    """d = 2 fast path: a planar touching cone is the angular interval
-    spanned by its two support normals around a_k, so containment is
-    interval containment.  Returns None for any other support structure.
-
-    Interval j is pruned when some interval i lies inside it within 1e-12
-    and is shorter beyond 1e-12 at one end.  That holds exactly when i is
-    shorter beyond the tolerance at one end and not longer beyond it at the
-    other, which is one `_contains_smaller` test per end."""
-    if (supports[:, 2:] >= 0).any() or (supports[:, :2] < 0).any():
-        return None
-    theta = np.arctan2(ns.matrix[:, 1], ns.matrix[:, 0])
-    gaps = np.sort(np.mod(theta[supports[:, :2]] - theta[k] + np.pi,
-                          2 * np.pi) - np.pi, axis=1)
-    if not ((gaps[:, 0] < 0) & (0 < gaps[:, 1])).all():
-        return None
-    right, left = -gaps[:, 0], gaps[:, 1]
-    tol = 1e-12
-    witness = (_contains_smaller(left, right, tol)
-               | _contains_smaller(right, left, tol))
-    return np.flatnonzero(witness)
+def _prune_planar(cone: CompiledCone) -> np.ndarray:
+    """d = 2 pruned mask: a touching column survives iff its support is the
+    angle-adjacent pair of its facet, whose interval around a_k every other
+    straddling pair contains.  When every facet keeps such a column, the
+    touching rows are Lam b >= 0 up to positive scale, so the polygon of
+    angle-consecutive intersections realizes b, and every diamond column p
+    has p . b >= h(sum p_i a_i) = 0: the diamonds are pruned too."""
+    ns = cone.normal_system
+    order = np.argsort(ns.angles(), kind="stable")
+    adjacent = np.empty((ns.count, 2), dtype=np.intp)
+    adjacent[order] = np.sort(np.column_stack(
+        [np.roll(order, 1), np.roll(order, -1)]), axis=1)
+    touching = cone.target != DIAMOND_TARGET
+    # Touching supports have at most d = 2 entries; a singleton pads with -1.
+    pair = np.sort(cone.support[:, :2], axis=1)
+    kept = touching & (pair == adjacent[cone.target]).all(axis=1)
+    pruned = cone.pruned | (touching & ~kept)
+    if np.isin(np.arange(ns.count), cone.target[kept]).all():
+        pruned |= ~touching
+    return pruned
 
 
 def prune_redundant(cone: CompiledCone) -> CompiledCone:
-    """Flag touching columns whose generator cone strictly contains the
-    generator cone of another touching column for the same facet.
+    """Flag the columns that the surviving ones imply.
 
-    Strictness is decided by support inequality: supports are independent
-    sets, so equal cones force equal supports.  Diamond columns are never
-    pruned.  Pruning is conservative: the surviving columns test the same
-    membership predicate.  No minimality claim is made for the surviving
-    system; it may still contain redundancies of other kinds.
+    In d = 3, a touching column is flagged when its generator cone strictly
+    contains the generator cone of another touching column for the same
+    facet; strictness is decided by support inequality (supports are
+    independent sets, so equal cones force equal supports), and diamond
+    columns are never pruned.  No minimality claim is made for that system.
+    In d = 2 the rule is closed-form (`_prune_planar`): one touching column
+    per facet survives, and the diamonds are pruned when every facet keeps
+    one, which leaves the N adjacent-triple conditions of a bounded system.
+    Either way the surviving columns test the same membership predicate.
     """
     ns = cone.normal_system
-    touching = np.flatnonzero(cone.target != DIAMOND_TARGET)
-    touching = touching[np.argsort(cone.target[touching], kind="stable")]
-    starts = np.flatnonzero(np.diff(cone.target[touching])) + 1
-    pruned = cone.pruned.copy()
-    for group in np.split(touching, starts):
-        if group.size == 0:
-            continue
-        supports = cone.support[group]
-        local = None
-        if ns.dimension == 2:
-            local = _prune_group_planar(ns, cone.target[group[0]], supports)
-        if local is None:
-            local = _prune_group_generic(ns, supports)
-        pruned[group[local]] = True
+    if ns.dimension == 2:
+        pruned = _prune_planar(cone)
+    else:
+        touching = np.flatnonzero(cone.target != DIAMOND_TARGET)
+        touching = touching[np.argsort(cone.target[touching], kind="stable")]
+        starts = np.flatnonzero(np.diff(cone.target[touching])) + 1
+        pruned = cone.pruned.copy()
+        for group in np.split(touching, starts):
+            if group.size:
+                local = _prune_group_generic(ns, cone.support[group])
+                pruned[group[local]] = True
     pruned.setflags(write=False)
     return CompiledCone(ns, cone.target, cone.support, cone.weights, pruned)

@@ -10,7 +10,7 @@ import itertools
 
 import numpy as np
 
-from .cone import CompiledCone, DIAMOND
+from .cone import CompiledCone, DIAMOND, DIAMOND_TARGET
 from .errors import EmptyPolytope, ExteriorCoordinates, NumericalFailure, UnboundedRegion
 from .lp import (_close_pairs, _solve_subsystems,
                  enumerate_primal_vertices, farkas_feasible, feasibility_slack,
@@ -211,11 +211,14 @@ def planar_touching_rows(ns: NormalSystem) -> np.ndarray:
     Lam_kk = -(cot alpha + cot beta), alpha and beta the angles from a_k to
     its two neighbours, is negative exactly when a_k is a positive
     combination p of the neighbours (alpha + beta < pi).  The scaled row
-    is then the touching column p - e_k of the pruned cone, with -1 at k:
+    is then the touching column p - e_k on the angle-adjacent pair, with
+    -1 at k, which is the one column `prune_redundant` keeps at facet k:
     Cramer's rule gives p = (sin beta, sin alpha) / sin(alpha + beta),
     which is (1 / sin alpha, 1 / sin beta) / (cot alpha + cot beta).  A
     facet without such a column has no touching condition: there Lam_k b
     >= 0 is a nonemptiness condition, which a solve's inner box implies.
+    When every facet has one, the pruned cone keeps no diamond, so these
+    rows are all the columns `classify` tests.
     """
     cached = ns._cache.get("planar_touching_rows")
     if cached is None:
@@ -422,14 +425,22 @@ def diagnose_boundary(b, cone: CompiledCone) -> DegeneracyReport:
 
     An active diamond column certifies a flat polytope (dimension < d); an
     active touching column at facet k certifies a degenerate facet
-    (dimension <= d-2).
+    (dimension <= d-2).  Pruned diamond columns are implied, not absent: on
+    the boundary they are tested too, so a pruned planar cone still
+    reports flatness.
     """
     cv = classify(b, cone)
     if cv.classification == EXTERIOR:
         raise ExteriorCoordinates("coordinates lie outside the cone")
+    active = cv.active_columns
+    if cv.classification == BOUNDARY:
+        hidden = np.flatnonzero(cone.pruned & (cone.target == DIAMOND_TARGET))
+        dots = (cone.weights[hidden] * cv.b[cone.support[hidden]]).sum(axis=1)
+        active = np.union1d(hidden[np.abs(dots) <= classification_band(cv.b)],
+                            np.asarray(active, dtype=np.intp))
     flat_witnesses = []
     facet_witnesses = {}
-    for i in cv.active_columns:
+    for i in active:
         vertex = cone.vertex(i)
         if vertex.target == DIAMOND:
             flat_witnesses.append(vertex)

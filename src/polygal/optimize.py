@@ -10,7 +10,10 @@ diagonal (`coordinates.planar_touching_rows`) and the perimeter is w . b,
 so no cone is compiled.  In d = 3 they are the pruned cone's touching
 columns.  Every objective is convex on the cone, so each level is solved by
 one damped Newton barrier path from one start, to within a duality gap
-m / t that the result reports.
+m / t that the result reports.  Both dimensions then take one path: the
+classification band is applied to the touching rows, and the result is
+realized by `coordinates._realize_admissible`, as is each d = 3 iterate of
+the volume; the level holds no cone.
 """
 
 from dataclasses import dataclass, field
@@ -20,11 +23,10 @@ import numpy as np
 
 from .bodies import ConvexBody, project_coords
 from .cone import compile_cone, prune_redundant
-from .coordinates import (CoordinateVector, INTERIOR, PolytopeRealization,
-                          _realize_admissible, classification_band,
-                          facet_area_jacobian, facet_lengths_2d,
-                          hausdorff_polytopes, planar_forms,
-                          planar_touching_rows, polytope_volume, realize)
+from .coordinates import (PolytopeRealization, _realize_admissible,
+                          classification_band, facet_area_jacobian,
+                          facet_lengths_2d, hausdorff_polytopes, planar_forms,
+                          planar_touching_rows, polytope_volume)
 from .errors import ExteriorCoordinates, InfeasibleLevel, NumericalFailure
 from .galerkin import GalerkinSequence, estimate_kappa
 
@@ -285,7 +287,7 @@ def _level_rows(ns, touching, shifted, lower, upper):
     return np.vstack(rows), np.concatenate(offsets)
 
 
-def _convex_objective(objective, ns, cone, G, h):
+def _convex_objective(objective, ns, G, h):
     """(phi, G, h): the level objective as a convex phi(z) returning value,
     gradient and Hessian, on the barrier variables z with their rows.
 
@@ -295,7 +297,6 @@ def _convex_objective(objective, ns, cone, G, h):
     quadratic form of `planar_forms`, in d = 3 it is read off one
     realization, with the Hessian J = `facet_area_jacobian` and the facet
     areas J b / 2 (Euler; exact at the interior b the barrier visits).
-    Only that d = 3 volume reads the cone; elsewhere it may be None.
     """
     n = ns.count
     if objective.kind == LINEAR_SUPPORT:
@@ -315,8 +316,7 @@ def _convex_objective(objective, ns, cone, G, h):
             return 0.5 * float(b @ lam_b), lam_b, lam
     else:
         def volume(b):
-            jac = facet_area_jacobian(realize(
-                b, cone, precomputed_class=CoordinateVector(b, INTERIOR)))
+            jac = facet_area_jacobian(_realize_admissible(ns, b))
             areas = 0.5 * (jac @ b)
             return float(b @ areas) / 3.0, areas, jac
 
@@ -431,10 +431,10 @@ def solve_level(problem: GalerkinProblem, level: int) -> LevelResult:
     t_start = time.perf_counter()
     ns = problem.sequence.levels[level]
     if ns.dimension == 2:
-        cone, touching = None, planar_touching_rows(ns)
+        touching = planar_touching_rows(ns)
     else:
-        cone = prune_redundant(compile_cone(ns))
-        touching = cone.matrix(touching_only=True).T
+        touching = prune_redundant(compile_cone(ns)).matrix(
+            touching_only=True).T
     lower = project_coords(problem.inner_body, ns).coords.b
     upper = project_coords(problem.outer_body, ns).coords.b
     gap_tol = 1e-9 * (1.0 + float(np.abs(upper).max()))
@@ -460,7 +460,7 @@ def solve_level(problem: GalerkinProblem, level: int) -> LevelResult:
     start_steps = 0
     if not (G @ b0 - h).min() > 1e-9 * scale:
         b0, start_steps = _phase_one(G, h, b0, scale)
-    phi, G_z, h_z = _convex_objective(objective, ns, cone, G, h)
+    phi, G_z, h_z = _convex_objective(objective, ns, G, h)
     z0 = b0
     if objective.kind == TARGET_TRACKING:
         z0 = np.append(b0, 1.0 + 2.0 * np.abs(b0 - objective.target).max())
@@ -470,12 +470,9 @@ def solve_level(problem: GalerkinProblem, level: int) -> LevelResult:
     if (G @ b - h).min() < -problem.tolerances.feas_eps * scale:
         raise NumericalFailure("solver returned an infeasible point")
 
-    if cone is not None:
-        realization = realize(b, cone)
-    elif (touching @ b < -classification_band(b)).any():
+    if (touching @ b < -classification_band(b)).any():
         raise ExteriorCoordinates("coordinates lie outside the cone")
-    else:
-        realization = _realize_admissible(ns, b)
+    realization = _realize_admissible(ns, b)
     constraint_values = (np.concatenate(
         [sc.values(b, realization) for sc in shifted])
         if shifted else np.zeros(0))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, strategies as st
 
-from polygal import (LinearProgram, compile_cone, solve_lp,
-                     spherical_grid_normals, validate_normals)
+from polygal import (EmptyPolytope, LinearProgram, PointHull, compile_cone,
+                     solve_lp, spherical_grid_normals, validate_normals)
 from polygal.cone import _all_subsets, _positive_combinations
 from polygal.coordinates import _projection_distance
 from polygal.galerkin import (_hull_subsets, _kappa_directions,
@@ -159,6 +159,13 @@ def reference_hausdorff(real1, real2):
                 worst = max(worst, dist)
         return worst
     return max(directed(real1, real2), directed(real2, real1))
+
+
+def body_from_realization(real):
+    """The point hull of a realization's vertices."""
+    if real.vertex_count == 0:
+        raise EmptyPolytope("realization has no vertices")
+    return PointHull(real.vertices)
 
 
 def touching_for(cone, k):

@@ -10,11 +10,11 @@ from polygal import (Ball, DegenerateBody, HalfspacePolytope, MinkowskiSum,
                      hausdorff_body_vs_polytope, project_coords,
                      project_interior, realize, spherical_grid_normals,
                      support)
-from polygal.bodies import body_from_realization
 from polygal.coordinates import classification_band
 from polygal.spheres import circle_directions
 
-from conftest import random_point_hull, regular_normals, transformed_grid
+from conftest import (body_from_realization, random_point_hull,
+                      regular_normals, transformed_grid)
 
 
 def test_support_examples():

@@ -5,7 +5,7 @@ from polygal import (BadDimension, DuplicateRow, LinearProgram, UnboundedSpace,
                      ZeroRow, check_bounded, classify, compile_cone,
                      extreme_points_diamond, extreme_points_touching,
                      prune_redundant, solve_lp, validate_normals)
-from polygal.cone import INDEP_TOL, RESIDUAL_TOL
+from polygal.cone import DIAMOND_TARGET, INDEP_TOL, RESIDUAL_TOL
 
 from conftest import dual_vertices_for_direction, regular_normals, touching_for
 
@@ -201,8 +201,13 @@ def test_octagon_pruning(octagon_cone):
     assert dropped == {(1, 6), (2, 7)}
 
 
-def test_hexagon_prunes_nothing(hexagon_cone):
-    assert prune_redundant(hexagon_cone).pruned_count == 0
+def test_hexagon_prunes_only_its_diamonds(hexagon_cone):
+    # Every hexagon facet keeps its one touching column, so the touching
+    # rows imply the 5 diamonds.
+    pruned = prune_redundant(hexagon_cone)
+    diamond = pruned.target == DIAMOND_TARGET
+    assert not pruned.pruned[~diamond].any()
+    assert pruned.pruned[diamond].all() and diamond.sum() == 5
 
 
 @pytest.mark.parametrize("n", [6, 8, 12])
