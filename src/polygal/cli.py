@@ -26,7 +26,9 @@ def _config_echo(args, command):
 
 
 def _with_config(obj, config):
-    out = {"schema_version": serialize.SCHEMA_VERSION, "config": config}
+    out = {"schema_version": obj.get("schema_version",
+                                     serialize.SCHEMA_VERSION),
+           "config": config}
     for key, value in obj.items():
         if key != "schema_version":
             out[key] = value
@@ -82,8 +84,7 @@ def cmd_check(args):
         report["degenerate_facets"] = list(diag.degenerate_facets)
     config = _config_echo(args, "check")
     config.update({"cone": args.cone, "b": args.b})
-    obj = _with_config({"schema_version": serialize.SCHEMA_VERSION,
-                        **report}, config)
+    obj = _with_config(report, config)
     _emit(args, obj, args.out, cv.classification)
     return 0
 
@@ -144,8 +145,7 @@ def cmd_hausdorff(args):
         body = serialize.body_from_obj(serialize.read_json(args.body))
         lower, upper = hausdorff_body_vs_polytope(body, real1, args.samples)
         config.update({"body": args.body, "samples": args.samples})
-        obj = _with_config({"schema_version": serialize.SCHEMA_VERSION,
-                            "lower": lower, "upper": upper}, config)
+        obj = _with_config({"lower": lower, "upper": upper}, config)
         _emit(args, obj, args.out, f"hausdorff in [{lower:.9g}, {upper:.9g}]")
         return 0
     if not args.b2:
@@ -157,7 +157,7 @@ def cmd_hausdorff(args):
     real2 = realize(b2, cone2)
     dist = hausdorff_polytopes(real1, real2)
     config.update({"b2": args.b2, "cone2": args.cone2})
-    payload = {"schema_version": serialize.SCHEMA_VERSION, "hausdorff": dist}
+    payload = {"hausdorff": dist}
     if args.cone2 is None:
         # Observed expansion of the coordinates-to-polytope map; reported as
         # a diagnostic, no bound is claimed.
@@ -175,9 +175,7 @@ def cmd_constants(args):
     delta = estimate_delta(ns, args.samples)
     rho = adjacent_rho(ns) if ns.dimension == 2 else None
     bound = kappa_rho_bound(rho) if rho is not None else None
-    payload = {"schema_version": serialize.SCHEMA_VERSION,
-               "delta_hat": delta, "kappa_hat": kappa,
-               "rho": rho,
+    payload = {"delta_hat": delta, "kappa_hat": kappa, "rho": rho,
                "rho_bound": None if bound is None or not np.isfinite(bound)
                else bound}
     config = _config_echo(args, "constants")

@@ -1,4 +1,4 @@
-"""Offline compilation of the coordinate cone.
+"""Offline compilation of the coordinate cone, and the touching rows.
 
 Enumerates the extreme points of the normalized dual slice
 {p >= 0 : A^T p = 0, 1^T p = 1} and of the dual polyhedra
@@ -7,8 +7,9 @@ cone membership via column . b >= 0, and prunes the columns that others
 imply.  In d = 3 that is every touching condition whose generator cone
 strictly contains the cone of another condition.  In d = 2 it is closed
 form: each facet keeps the condition on its two angle-adjacent normals,
-and the diamonds go when every facet keeps one, which leaves the N
-adjacent-triple conditions.
+and the diamonds go when `touching_rows` reports every facet covered,
+which leaves the N adjacent-triple conditions.  `touching_rows` alone
+decides a level's touching rows, and whether they cover every facet.
 
 Enumeration runs over index subsets: supports of dual vertices are linearly
 independent sets, so each candidate subset is checked by one small
@@ -27,7 +28,7 @@ import itertools
 import numpy as np
 
 from .errors import UnboundedSpace
-from .normals import NormalSystem, check_bounded
+from .normals import NormalSystem, angle_pairs, check_bounded, planar_forms
 
 RESIDUAL_TOL = 1e-9
 WEIGHT_TOL = 1e-9
@@ -50,6 +51,11 @@ _CHUNK = 200_000
 # 4 * RESIDUAL_TOL (see _planar_diamond_candidates); it is 250 times that.
 _SIGN_MARGIN = 1e-6
 
+# mu of `touching_rows`: no d = 2 row entry exceeds 1 / mu = 1e5.  The
+# compile keeps the adjacent-pair column wherever that entry is below 1.2e6
+# (2,000 random near-antipodal draws), a factor 12 above.
+TOUCHING_MARGIN = 1e-5
+
 
 @dataclass(frozen=True)
 class DualVertex:
@@ -63,18 +69,6 @@ class DualVertex:
     support: tuple
     weights: tuple
 
-    def vector(self, n: int) -> np.ndarray:
-        p = np.zeros(n)
-        p[list(self.support)] = self.weights
-        return p
-
-
-@dataclass(frozen=True)
-class ConeColumn:
-    vector: np.ndarray
-    vertex: DualVertex
-    pruned: bool = False
-
 
 @dataclass(eq=False)
 class CompiledCone:
@@ -86,7 +80,7 @@ class CompiledCone:
 
     Column j is stored as target[j] (the facet k, or DIAMOND_TARGET),
     support[j] and weights[j] (padded to d + 1 entries with -1 and 0) and
-    pruned[j].  `columns` builds ConeColumn objects from these on request.
+    pruned[j].
     """
 
     normal_system: NormalSystem
@@ -114,47 +108,23 @@ class CompiledCone:
 
     def vertex(self, j) -> DualVertex:
         """The dual vertex behind column j."""
-        used = self.support[j] >= 0
         k = int(self.target[j])
-        return DualVertex(DIAMOND if k == DIAMOND_TARGET else k,
-                          tuple(int(i) for i in self.support[j][used]),
-                          tuple(float(w) for w in self.weights[j][used]))
+        return _vertices(DIAMOND if k == DIAMOND_TARGET else k,
+                         self.support[j:j + 1], self.weights[j:j + 1])[0]
 
-    def column(self, j) -> ConeColumn:
-        vertex = self.vertex(j)
-        vector = vertex.vector(self.normal_system.count)
-        if vertex.target != DIAMOND:
-            vector[vertex.target] -= 1.0
-        vector.setflags(write=False)
-        return ConeColumn(vector, vertex, bool(self.pruned[j]))
-
-    @property
-    def columns(self) -> tuple:
-        cols = self._cache.get("columns")
-        if cols is None:
-            cols = tuple(self.column(j) for j in range(self.count))
-            self._cache["columns"] = cols
-        return cols
-
-    def column_indices(self, include_pruned=False, touching_only=False):
-        key = (include_pruned, touching_only)
-        idx = self._cache.get(("idx", key))
+    def column_indices(self, include_pruned=False):
+        idx = self._cache.get(("idx", include_pruned))
         if idx is None:
-            mask = np.ones(self.count, dtype=bool)
-            if not include_pruned:
-                mask &= ~self.pruned
-            if touching_only:
-                mask &= self.target != DIAMOND_TARGET
-            idx = np.flatnonzero(mask)
-            self._cache[("idx", key)] = idx
+            idx = (np.arange(self.count) if include_pruned
+                   else np.flatnonzero(~self.pruned))
+            self._cache[("idx", include_pruned)] = idx
         return idx
 
-    def matrix(self, include_pruned=False, touching_only=False):
+    def matrix(self, include_pruned=False):
         """Selected columns stacked as an (N, m) array."""
-        key = (include_pruned, touching_only)
-        mat = self._cache.get(("mat", key))
+        mat = self._cache.get(("mat", include_pruned))
         if mat is None:
-            idx = self.column_indices(include_pruned, touching_only)
+            idx = self.column_indices(include_pruned)
             mat = np.zeros((self.normal_system.count, idx.size))
             support = self.support[idx]
             col = np.broadcast_to(np.arange(idx.size)[:, None], support.shape)
@@ -165,7 +135,7 @@ class CompiledCone:
             # A touching vertex has p_k = 0, so p - e_k has -1 at k.
             mat[target[touching], np.flatnonzero(touching)] = -1.0
             mat.setflags(write=False)
-            self._cache[("mat", key)] = mat
+            self._cache[("mat", include_pruned)] = mat
         return mat
 
 
@@ -347,10 +317,12 @@ def extreme_points_touching(ns: NormalSystem, k: int, *, allow_large=False):
     return _vertices(int(k), *_touching_arrays(ns, k))
 
 
-def _compile(ns: NormalSystem, exhaustive=False) -> CompiledCone:
+def _compile(ns: NormalSystem, exhaustive=False, diamonds=True):
     """compile_cone without the guards; `exhaustive` makes d = 2 run the
-    all-subsets enumeration, which tests use as the oracle."""
-    parts = [(DIAMOND_TARGET, *_diamond_arrays(ns, exhaustive))]
+    all-subsets enumeration, which tests use as the oracle, and
+    diamonds=False leaves out the diamond columns."""
+    parts = ([(DIAMOND_TARGET, *_diamond_arrays(ns, exhaustive))]
+             if diamonds else [])
     parts += [(k, *_touching_arrays(ns, k, exhaustive))
               for k in range(ns.count)]
     target = np.concatenate([np.full(len(s), k, dtype=np.intp)
@@ -402,21 +374,20 @@ def _prune_group_generic(ns, supports):
 def _prune_planar(cone: CompiledCone) -> np.ndarray:
     """d = 2 pruned mask: a touching column survives iff its support is the
     angle-adjacent pair of its facet, whose interval around a_k every other
-    straddling pair contains.  When every facet keeps such a column, the
-    touching rows are Lam b >= 0 up to positive scale, so the polygon of
-    angle-consecutive intersections realizes b, and every diamond column p
-    has p . b >= h(sum p_i a_i) = 0: the diamonds are pruned too."""
+    straddling pair contains.  The diamonds go iff `touching_rows` covers
+    every facet: its rows are then Lam b >= 0 up to positive scale, so the
+    polygon of angle-consecutive intersections realizes b, and every
+    diamond column p has p . b >= h(sum p_i a_i) = 0."""
     ns = cone.normal_system
-    order = np.argsort(ns.angles(), kind="stable")
-    adjacent = np.empty((ns.count, 2), dtype=np.intp)
-    adjacent[order] = np.sort(np.column_stack(
-        [np.roll(order, 1), np.roll(order, -1)]), axis=1)
+    # Each row ends two angle pairs; its neighbours are their other ends.
+    ends = np.concatenate([angle_pairs(ns), angle_pairs(ns)[:, ::-1]])
+    adjacent = ends[np.lexsort(ends.T[::-1]), 1].reshape(ns.count, 2)
     touching = cone.target != DIAMOND_TARGET
     # Touching supports have at most d = 2 entries; a singleton pads with -1.
     pair = np.sort(cone.support[:, :2], axis=1)
     kept = touching & (pair == adjacent[cone.target]).all(axis=1)
     pruned = cone.pruned | (touching & ~kept)
-    if np.isin(np.arange(ns.count), cone.target[kept]).all():
+    if check_bounded(ns) and touching_rows(ns)[1]:
         pruned |= ~touching
     return pruned
 
@@ -430,9 +401,10 @@ def prune_redundant(cone: CompiledCone) -> CompiledCone:
     independent sets, so equal cones force equal supports), and diamond
     columns are never pruned.  No minimality claim is made for that system.
     In d = 2 the rule is closed-form (`_prune_planar`): one touching column
-    per facet survives, and the diamonds are pruned when every facet keeps
-    one, which leaves the N adjacent-triple conditions of a bounded system.
-    Either way the surviving columns test the same membership predicate.
+    per facet survives, and the diamonds are pruned when `touching_rows`
+    reports every facet covered, which leaves the N adjacent-triple
+    conditions of a bounded system.  Either way the surviving columns test
+    the same membership predicate.
     """
     ns = cone.normal_system
     if ns.dimension == 2:
@@ -448,3 +420,43 @@ def prune_redundant(cone: CompiledCone) -> CompiledCone:
                 pruned[group[local]] = True
     pruned.setflags(write=False)
     return CompiledCone(ns, cone.target, cone.support, cone.weights, pruned)
+
+
+def touching_rows(ns: NormalSystem):
+    """(rows, covered): a bounded level's touching rows, (m, N) with -1
+    at each row's facet, and whether every facet has one; cached on `ns`.
+
+    In d = 2 row k is row k of Lam (`normals.planar_forms`) over -Lam_kk:
+    with alpha and beta the angles to a_k's neighbours, Lam_kk = -(cot
+    alpha + cot beta), and Cramer's rule gives the adjacent-pair column
+    p - e_k with p = (1 / sin alpha, 1 / sin beta) / (cot alpha + cot
+    beta).  Facet k has a row iff Lam_kk <= -mu max_{j != k} Lam_kj, mu =
+    TOUCHING_MARGIN.  Below it the neighbours are antipodal within about
+    mu, and the condition left out is implied by the boxes of a solve
+    whose inner body holds a disc of radius mu times the outer diameter.
+    In d = 3 the rows are the touching columns of
+    `prune_redundant(compile_cone(ns))`, bitwise and in order, from the
+    same code without the diamonds, under the compile's size guard.  An
+    unbounded system raises UnboundedSpace.
+    """
+    cached = ns._cache.get("touching_rows")
+    if cached is not None:
+        return cached
+    if not check_bounded(ns):
+        raise UnboundedSpace("normal system spans unbounded polyhedra")
+    if ns.dimension == 2:
+        lam = planar_forms(ns)[0]
+        diag = np.diag(lam)
+        # Where Lam_kk < 0 the row's largest entry is off the diagonal.
+        has_row = diag <= -TOUCHING_MARGIN * lam.max(axis=1)
+        rows = lam[has_row] / -diag[has_row, None]
+        rows.setflags(write=False)
+        covered = bool(has_row.all())
+    else:
+        _size_guard(ns, False)
+        cone = prune_redundant(_compile(ns, diamonds=False))
+        rows = cone.matrix().T
+        covered = bool(np.isin(np.arange(ns.count),
+                               cone.target[~cone.pruned]).all())
+    cached = ns._cache["touching_rows"] = (rows, covered)
+    return cached

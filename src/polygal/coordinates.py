@@ -15,7 +15,7 @@ from .errors import EmptyPolytope, ExteriorCoordinates, NumericalFailure, Unboun
 from .lp import (_close_pairs, _solve_subsystems,
                  enumerate_primal_vertices, farkas_feasible, feasibility_slack,
                  vertex_points)
-from .normals import NormalSystem, check_bounded
+from .normals import NormalSystem, angle_pairs, check_bounded
 
 UNCLASSIFIED = "unclassified"
 EXTERIOR = "exterior"
@@ -146,88 +146,22 @@ def _realize_admissible(ns: NormalSystem, b) -> PolytopeRealization:
 
 
 def _planar_cycle(ns: NormalSystem):
-    """Angle-consecutive row pairs of a planar system, cached on `ns`.
-
-    Returns (pairs, det_min, active_sets, facet_vertices): pairs is an
-    (N, 2) index array of (lo, hi) rows sorted the way the generic path
-    sorts active sets, det_min the smallest |det| of a pair, and the two
-    tuples the incidence of a realization with exactly these vertices.
-    """
+    """(pairs, det_min, active_sets, facet_vertices) of a planar system,
+    cached on `ns`: its `angle_pairs`, their smallest |det|, and the
+    incidence of a realization with exactly their intersections as
+    vertices."""
     cached = ns._cache.get("planar_cycle")
     if cached is not None:
         return cached
-    n = ns.count
-    A = ns.matrix
-    # Sort by angle, not by row index: a reflected or permuted system is
-    # not in index order.
-    order = np.argsort(ns.angles(), kind="stable")
-    pairs = np.sort(np.column_stack([order, np.roll(order, -1)]), axis=1)
-    pairs = pairs[np.lexsort(pairs.T[::-1])]
-    owner = np.repeat(np.arange(n), 2)
-    facets = owner[np.lexsort((owner, pairs.ravel()))].reshape(n, 2)
-    m = A[pairs]
+    pairs = angle_pairs(ns)
+    owner = np.repeat(np.arange(ns.count), 2)
+    facets = owner[np.lexsort((owner, pairs.ravel()))].reshape(-1, 2)
+    m = ns.matrix[pairs]
     det_min = float(np.abs(m[:, 0, 0] * m[:, 1, 1]
                            - m[:, 0, 1] * m[:, 1, 0]).min())
-    pairs.setflags(write=False)
     cached = (pairs, det_min, tuple(map(tuple, pairs.tolist())),
               tuple(map(tuple, facets.tolist())))
     ns._cache["planar_cycle"] = cached
-    return cached
-
-
-def planar_forms(ns: NormalSystem):
-    """(Lam, w) of a planar system, cached on `ns`.
-
-    For coordinates b in the cone, the facet lengths are L = Lam b, the
-    area is b . Lam b / 2 and the perimeter is w . b with w = Lam^T 1 (the
-    mixed-area identity).  Lam is symmetric and cyclic tridiagonal in angle
-    order: the vertex on row k and its neighbour j lies (b_j - (a_k . a_j)
-    b_k) / |a_k x a_j| from the point b_k a_k along facet k, towards j, and
-    L_k sums this over the two neighbours.  Dot and cross products, not
-    angle differences, make Lam bitwise invariant under axis reflections.
-    """
-    cached = ns._cache.get("planar_forms")
-    if cached is not None:
-        return cached
-    pairs = _planar_cycle(ns)[0]
-    a, c = ns.matrix[pairs[:, 0]], ns.matrix[pairs[:, 1]]
-    cross = np.abs(a[:, 0] * c[:, 1] - a[:, 1] * c[:, 0])
-    dot = a[:, 0] * c[:, 0] + a[:, 1] * c[:, 1]
-    lam = np.zeros((ns.count, ns.count))
-    lam[pairs[:, 0], pairs[:, 1]] = 1.0 / cross
-    lam[pairs[:, 1], pairs[:, 0]] = 1.0 / cross
-    np.add.at(lam, (pairs.ravel(),) * 2, np.repeat(-dot / cross, 2))
-    w = lam.sum(axis=0)
-    lam.setflags(write=False)
-    w.setflags(write=False)
-    cached = ns._cache["planar_forms"] = (lam, w)
-    return cached
-
-
-def planar_touching_rows(ns: NormalSystem) -> np.ndarray:
-    """The touching rows of a bounded planar system, cached on `ns`: row k
-    of Lam divided by -Lam_kk, for every k with Lam_kk < 0.
-
-    Lam_kk = -(cot alpha + cot beta), alpha and beta the angles from a_k to
-    its two neighbours, is negative exactly when a_k is a positive
-    combination p of the neighbours (alpha + beta < pi).  The scaled row
-    is then the touching column p - e_k on the angle-adjacent pair, with
-    -1 at k, which is the one column `prune_redundant` keeps at facet k:
-    Cramer's rule gives p = (sin beta, sin alpha) / sin(alpha + beta),
-    which is (1 / sin alpha, 1 / sin beta) / (cot alpha + cot beta).  A
-    facet without such a column has no touching condition: there Lam_k b
-    >= 0 is a nonemptiness condition, which a solve's inner box implies.
-    When every facet has one, the pruned cone keeps no diamond, so these
-    rows are all the columns `classify` tests.
-    """
-    cached = ns._cache.get("planar_touching_rows")
-    if cached is None:
-        lam = planar_forms(ns)[0]
-        diag = np.diag(lam)
-        touching = np.flatnonzero(diag < 0.0)
-        cached = lam[touching] / -diag[touching, None]
-        cached.setflags(write=False)
-        ns._cache["planar_touching_rows"] = cached
     return cached
 
 
@@ -523,7 +457,8 @@ def facet_area_jacobian(real: PolytopeRealization) -> np.ndarray:
     a_j|: moving plane j out by db slides that edge across facet k by
     db / |a_k x a_j|.  Moving plane k itself slides every edge of facet k
     by -(a_k . a_j) db / |a_k x a_j|, so the diagonal is the sum of those
-    terms; this is the d = 3 form of the planar Lam of `planar_forms`.
+    terms; this is the d = 3 form of the planar Lam of
+    `normals.planar_forms`.
     Exact where the polytope is simple; elsewhere the volume is only
     piecewise smooth.
     """

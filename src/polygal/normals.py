@@ -1,4 +1,5 @@
-"""Normal systems: validated matrices of unit outer facet normals."""
+"""Normal systems: validated matrices of unit outer facet normals, and the
+closed forms of a planar system (its angle order and facet-length form)."""
 
 from dataclasses import dataclass, field
 
@@ -78,4 +79,47 @@ def check_bounded(ns: NormalSystem) -> bool:
     cached = ns._cache.get("bounded")
     if cached is None:
         cached = ns._cache["bounded"] = recession_bounded(ns.matrix)
+    return cached
+
+
+def angle_pairs(ns: NormalSystem) -> np.ndarray:
+    """Angle-consecutive (lo, hi) row pairs of a planar system in
+    lexicographic order, as the generic vertex search sorts active sets;
+    cached on `ns`.  A reflected or permuted system is not in index order."""
+    cached = ns._cache.get("angle_pairs")
+    if cached is None:
+        order = np.argsort(ns.angles(), kind="stable")
+        pairs = np.sort(np.column_stack([order, np.roll(order, -1)]), axis=1)
+        cached = pairs[np.lexsort(pairs.T[::-1])]
+        cached.setflags(write=False)
+        ns._cache["angle_pairs"] = cached
+    return cached
+
+
+def planar_forms(ns: NormalSystem):
+    """(Lam, w) of a planar system, cached on `ns`.
+
+    For coordinates b in the cone, the facet lengths are L = Lam b, the
+    area is b . Lam b / 2 and the perimeter is w . b with w = Lam^T 1 (the
+    mixed-area identity).  Lam is symmetric and cyclic tridiagonal in angle
+    order: the vertex on row k and its neighbour j lies (b_j - (a_k . a_j)
+    b_k) / |a_k x a_j| from the point b_k a_k along facet k, towards j, and
+    L_k sums this over the two neighbours.  Dot and cross products, not
+    angle differences, make Lam bitwise invariant under axis reflections.
+    """
+    cached = ns._cache.get("planar_forms")
+    if cached is not None:
+        return cached
+    pairs = angle_pairs(ns)
+    a, c = ns.matrix[pairs[:, 0]], ns.matrix[pairs[:, 1]]
+    cross = np.abs(a[:, 0] * c[:, 1] - a[:, 1] * c[:, 0])
+    dot = a[:, 0] * c[:, 0] + a[:, 1] * c[:, 1]
+    lam = np.zeros((ns.count, ns.count))
+    lam[pairs[:, 0], pairs[:, 1]] = 1.0 / cross
+    lam[pairs[:, 1], pairs[:, 0]] = 1.0 / cross
+    np.add.at(lam, (pairs.ravel(),) * 2, np.repeat(-dot / cross, 2))
+    w = lam.sum(axis=0)
+    lam.setflags(write=False)
+    w.setflags(write=False)
+    cached = ns._cache["planar_forms"] = (lam, w)
     return cached

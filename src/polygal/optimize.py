@@ -1,19 +1,15 @@
 """Constrained optimization over nested polytope spaces.
 
 Each level minimizes an objective in coordinates subject to cone membership
-(touching conditions only; the nonemptiness conditions are implied by the
-inner box), support boxes from the inner/outer bodies, and shifted
-functional constraints.  Every constraint is a linear row in coordinates.
-In d = 2 the rows come from the facet-length form Lam of
-`coordinates.planar_forms`: the touching rows are its rows with a negative
-diagonal (`coordinates.planar_touching_rows`) and the perimeter is w . b,
-so no cone is compiled.  In d = 3 they are the pruned cone's touching
-columns.  Every objective is convex on the cone, so each level is solved by
-one damped Newton barrier path from one start, to within a duality gap
-m / t that the result reports.  Both dimensions then take one path: the
-classification band is applied to the touching rows, and the result is
-realized by `coordinates._realize_admissible`, as is each d = 3 iterate of
-the volume; the level holds no cone.
+(the touching rows of `cone.touching_rows`; the nonemptiness conditions are
+implied by the inner box), support boxes from the inner/outer bodies, and
+shifted functional constraints, each a linear row in coordinates (in d = 2
+the perimeter is w . b, `normals.planar_forms`).  Every objective is convex
+on the cone, so each level is solved by one damped Newton barrier path
+from one start, to within a duality gap m / t that the result reports.
+The result is checked against the classification band on the touching rows
+and realized by `coordinates._realize_admissible`, as is each d = 3 iterate
+of the volume; the level holds no cone.
 """
 
 from dataclasses import dataclass, field
@@ -22,13 +18,14 @@ import time
 import numpy as np
 
 from .bodies import ConvexBody, project_coords
-from .cone import compile_cone, prune_redundant
+from .cone import touching_rows
 from .coordinates import (PolytopeRealization, _realize_admissible,
                           classification_band, facet_area_jacobian,
-                          facet_lengths_2d, hausdorff_polytopes, planar_forms,
-                          planar_touching_rows, polytope_volume)
+                          facet_lengths_2d, hausdorff_polytopes,
+                          polytope_volume)
 from .errors import ExteriorCoordinates, InfeasibleLevel, NumericalFailure
 from .galerkin import GalerkinSequence, estimate_kappa
+from .normals import planar_forms
 
 NEG_VOLUME = "neg_volume"
 LINEAR_SUPPORT = "linear_support"
@@ -261,9 +258,9 @@ class SequenceResult:
 
 
 def _level_rows(ns, touching, shifted, lower, upper):
-    """The linear rows G b - h > 0 of one level: the touching rows (in
-    d = 2 `planar_touching_rows`, in d = 3 the pruned cone's touching
-    columns), the inner/outer support boxes and the shifted constraints."""
+    """The linear rows G b - h > 0 of one level: the touching rows
+    (`cone.touching_rows`), the inner/outer support boxes and the shifted
+    constraints."""
     eye = np.eye(ns.count)
     rows = [touching, eye, -eye]
     offsets = [np.zeros(touching.shape[0]), lower, -upper]
@@ -430,11 +427,7 @@ def solve_level(problem: GalerkinProblem, level: int) -> LevelResult:
     """
     t_start = time.perf_counter()
     ns = problem.sequence.levels[level]
-    if ns.dimension == 2:
-        touching = planar_touching_rows(ns)
-    else:
-        touching = prune_redundant(compile_cone(ns)).matrix(
-            touching_only=True).T
+    touching = touching_rows(ns)[0]
     lower = project_coords(problem.inner_body, ns).coords.b
     upper = project_coords(problem.outer_body, ns).coords.b
     gap_tol = 1e-9 * (1.0 + float(np.abs(upper).max()))

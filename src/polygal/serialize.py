@@ -2,8 +2,9 @@
 
 All floats are written in decimal with 17 significant digits, so identical
 inputs produce byte-identical files.  Every schema carries
-schema_version = 1; loaders tolerate extra keys (the CLI adds a resolved
-`config` echo to everything it writes).
+schema_version = 1, except cone.json (2; 1 is still read); loaders
+tolerate extra keys (the CLI adds a resolved `config` echo to everything
+it writes).
 """
 
 import json
@@ -20,6 +21,7 @@ from .optimize import (ConstraintSpec, GalerkinProblem, ObjectiveSpec,
 from .galerkin import GalerkinSequence
 
 SCHEMA_VERSION = 1
+CONE_SCHEMA_VERSION = 2
 
 
 def _format_float(x: float) -> str:
@@ -82,10 +84,11 @@ def read_json(path):
         return json.load(fh)
 
 
-def _check_version(obj, what):
+def _check_version(obj, what, versions=(SCHEMA_VERSION,)):
     version = obj.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if version not in versions:
         raise ValueError(f"{what}: unsupported schema_version {version}")
+    return version
 
 
 # -- normals.json -----------------------------------------------------------
@@ -106,53 +109,67 @@ def normals_from_obj(obj) -> NormalSystem:
 # -- cone.json ---------------------------------------------------------------
 
 def cone_to_obj(cone: CompiledCone) -> dict:
-    columns = []
-    for col in cone.columns:
-        target = (DIAMOND if col.vertex.target == DIAMOND
-                  else {"touching": int(col.vertex.target)})
-        columns.append({
-            "vector": col.vector,
-            "target": target,
-            "support": list(col.vertex.support),
-            "weights": list(col.vertex.weights),
-            "pruned": bool(col.pruned),
-        })
-    return {"schema_version": SCHEMA_VERSION,
+    """Schema 2: the cone's flat column arrays (see CompiledCone)."""
+    return {"schema_version": CONE_SCHEMA_VERSION,
             "normals": normals_to_obj(cone.normal_system),
-            "columns": columns}
+            "target": cone.target, "support": cone.support,
+            "weights": cone.weights, "pruned": cone.pruned}
+
+
+def _cone_from_v1(ns: NormalSystem, columns) -> CompiledCone:
+    """Schema 1: an object per column, whose dense vector must match its
+    support and weights."""
+    width = ns.dimension + 1
+    flat = {"target": [], "support": [], "weights": [], "pruned": []}
+    for col in columns:
+        s, w, t = list(col["support"]), list(col["weights"]), col["target"]
+        if len(s) != len(w) or len(s) > width or min(s, default=0) < 0:
+            raise ValueError("cone: bad target, support or weights")
+        flat["target"].append(DIAMOND_TARGET if t == DIAMOND
+                              else int(t["touching"]))
+        flat["support"].append(s + [-1] * (width - len(s)))
+        flat["weights"].append(w + [0.0] * (width - len(w)))
+        flat["pruned"].append(bool(col["pruned"]))
+    cone = _cone_from_v2(ns, flat)
+    dense = np.asarray([col["vector"] for col in columns], dtype=float)
+    if not np.array_equal(cone.matrix(include_pruned=True),
+                          dense.reshape(cone.count, ns.count).T):
+        raise ValueError("cone: column vectors do not match their supports")
+    return cone
+
+
+def _cone_from_v2(ns: NormalSystem, obj) -> CompiledCone:
+    """Schema 2, checked: targets are -1 or rows, supports nonempty runs
+    of rows padded with -1, weights finite and 0 in the padding."""
+    count, width = len(obj["target"]), ns.dimension + 1
+    arrays = []
+    for key, dtype, shape in (("target", np.intp, (count,)),
+                              ("support", np.intp, (count, width)),
+                              ("weights", float, (count, width)),
+                              ("pruned", bool, (count,))):
+        arr = np.asarray(obj[key], dtype=dtype)
+        # An empty cone writes its 2-d arrays as [].
+        if arr.shape != shape and (count or arr.size):
+            raise ValueError(f"cone: {key} does not have shape {shape}")
+        arrays.append(arr.reshape(shape))
+    target, support, weights, _ = arrays
+    used = support >= 0
+    if ((target < DIAMOND_TARGET) | (target >= ns.count)).any() \
+            or ((support < -1) | (support >= ns.count)).any() \
+            or not used[:, 0].all() or (used[:, 1:] > used[:, :-1]).any() \
+            or (weights[~used] != 0.0).any() \
+            or not np.isfinite(weights).all():
+        raise ValueError("cone: bad target, support or weights")
+    return CompiledCone(ns, *arrays)
 
 
 def cone_from_obj(obj) -> CompiledCone:
-    _check_version(obj, "cone")
+    """Load a cone.json object of schema 2, or of schema 1."""
+    version = _check_version(obj, "cone", (1, CONE_SCHEMA_VERSION))
     ns = normals_from_obj(obj["normals"])
-    entries = obj["columns"]
-    width = ns.dimension + 1
-    target = np.empty(len(entries), dtype=np.intp)
-    support = np.full((len(entries), width), -1, dtype=np.intp)
-    weights = np.zeros((len(entries), width))
-    pruned = np.zeros(len(entries), dtype=bool)
-    vectors = []
-    for j, entry in enumerate(entries):
-        t = entry["target"]
-        target[j] = DIAMOND_TARGET if t == DIAMOND else int(t["touching"])
-        s = [int(i) for i in entry["support"]]
-        w = [float(x) for x in entry["weights"]]
-        if (len(s) != len(w) or len(s) > width
-                or not all(0 <= i < ns.count for i in s)
-                or not (t == DIAMOND or 0 <= target[j] < ns.count)):
-            raise ValueError("cone: bad target, support or weights")
-        support[j, :len(s)] = s
-        weights[j, :len(w)] = w
-        pruned[j] = bool(entry["pruned"])
-        vector = np.asarray(entry["vector"], dtype=float)
-        if vector.shape != (ns.count,):
-            raise ValueError("cone: column length does not match normals")
-        vectors.append(vector)
-    cone = CompiledCone(ns, target, support, weights, pruned)
-    dense = np.array(vectors).reshape(len(entries), ns.count).T
-    if not np.array_equal(cone.matrix(include_pruned=True), dense):
-        raise ValueError("cone: column vectors do not match their supports")
-    return cone
+    if version == 1:
+        return _cone_from_v1(ns, obj["columns"])
+    return _cone_from_v2(ns, obj)
 
 
 # -- b.json ------------------------------------------------------------------

@@ -1,8 +1,9 @@
+from collections import namedtuple
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, strategies as st
+from hypothesis import assume, settings, strategies as st
 
 from polygal import (EmptyPolytope, LinearProgram, PointHull, compile_cone,
                      solve_lp, spherical_grid_normals, validate_normals)
@@ -14,6 +15,11 @@ from polygal.galerkin import (_hull_subsets, _kappa_directions,
 from polygal.lp import (OPTIMAL, UNBOUNDED, VERTEX_DEDUP_TOL,
                         _combinations_array, _solve_subsystems,
                         feasibility_slack)
+
+# A failing example prints the blob that reproduces it with
+# @reproduce_failure, so a rare draw can be replayed.
+settings.register_profile("polygal", print_blob=True)
+settings.load_profile("polygal")
 
 
 def regular_normals(n, offset=0.0):
@@ -168,9 +174,14 @@ def body_from_realization(real):
     return PointHull(real.vertices)
 
 
+TouchingColumn = namedtuple("TouchingColumn", "vertex pruned")
+
+
 def touching_for(cone, k):
-    """The columns of `cone` that touch facet k, pruned or not."""
-    return tuple(cone.column(j) for j in np.flatnonzero(cone.target == k))
+    """The columns of `cone` that touch facet k, pruned or not, each as its
+    dual vertex and pruned flag."""
+    return tuple(TouchingColumn(cone.vertex(j), bool(cone.pruned[j]))
+                 for j in np.flatnonzero(cone.target == k))
 
 
 def chebyshev_slack(G, h):

@@ -54,6 +54,7 @@ def test_compile_counts_and_prune(tmp_path, capsys):
     assert run_cli("--json", "compile", "--normals", str(oct_path), "--prune",
                    "--out", str(oct_cone)) == 0
     payload = json.loads(capsys.readouterr().out)
+    assert payload["schema_version"] == 2
     counts = payload["counts"]
     assert counts["pruned"] == counts["touching"] - 8 + counts["diamond"]
     loaded = serialize.cone_from_obj(serialize.read_json(oct_cone))

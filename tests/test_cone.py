@@ -135,8 +135,8 @@ def test_diamond_remark_invariant(hexagon_ns, octagon_ns):
 def test_support_sets_unique_per_target(hexagon_cone, octagon_cone):
     for cone in (hexagon_cone, octagon_cone):
         seen = set()
-        for col in cone.columns:
-            key = (col.vertex.target, col.vertex.support)
+        for j in range(cone.count):
+            key = (cone.vertex(j).target, cone.vertex(j).support)
             assert key not in seen
             seen.add(key)
 

@@ -10,7 +10,8 @@ from polygal import (EmptyPolytope, ExteriorCoordinates, LinearProgram,
                      polygon_area, project_coords, project_interior, realize,
                      solve_lp, support_coordinates, validate_normals)
 from polygal.coordinates import (_realize_admissible, facet_lengths_2d,
-                                 phi_expansion_ratio, planar_forms)
+                                 phi_expansion_ratio)
+from polygal.normals import planar_forms
 from polygal.lp import OPTIMAL
 
 from conftest import (TRANSFORMS, bounded_planar_systems, random_point_hull,
@@ -28,7 +29,7 @@ def test_classify_examples(square_cone, hexagon_cone):
     assert classify(np.ones(6), hexagon_cone).classification == "interior"
     cv = classify(np.array([1.0, 1.0, -1.0, 1.0]), square_cone)
     assert cv.classification == "boundary"
-    active = [square_cone.columns[i].vertex for i in cv.active_columns]
+    active = [square_cone.vertex(i) for i in cv.active_columns]
     assert [v.support for v in active] == [(0, 2)]
     assert classify(np.array([1.0, 1.0, -2.0, 1.0]),
                     square_cone).classification == "exterior"

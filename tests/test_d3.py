@@ -4,11 +4,13 @@ from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from polygal import (Ball, PointHull, canonicalize, classify, compile_cone,
-                     estimate_delta, estimate_kappa, hausdorff_body_vs_polytope,
-                     hausdorff_polytopes, polytope_volume, project_coords,
-                     prune_redundant, realize, spherical_grid_normals,
-                     support_coordinates, validate_normals)
+from polygal import (Ball, PointHull, canonicalize, check_bounded, classify,
+                     compile_cone, estimate_delta, estimate_kappa,
+                     hausdorff_body_vs_polytope, hausdorff_polytopes,
+                     polytope_volume, project_coords, prune_redundant, realize,
+                     spherical_grid_normals, support_coordinates,
+                     validate_normals)
+from polygal.cone import DIAMOND_TARGET, touching_rows
 from polygal.coordinates import facet_area_jacobian, facet_measures
 
 from conftest import assert_realization_matches_oracle, rotated_grid_3d
@@ -140,3 +142,29 @@ def test_realization_matches_the_oracle_on_rotated_grids(seed):
 
 def test_polar_grid_realization_reports_each_vertex_once(grid_cone):
     assert realize(np.ones(26), grid_cone).vertex_count == 32
+
+
+def bounded_random_system(seed):
+    """8 to 14 seeded random unit normals in R^3 that span polytopes."""
+    rng = np.random.default_rng(seed)
+    while True:
+        ns = validate_normals(rng.normal(size=(int(rng.integers(8, 15)), 3)))
+        if check_bounded(ns):
+            return ns
+
+
+@pytest.mark.parametrize("kind", ["rotated_grid", "random"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_touching_rows_are_the_pruned_touching_columns(kind, seed):
+    def make():
+        return (rotated_grid_3d(2, seed) if kind == "rotated_grid"
+                else bounded_random_system(seed))
+    rows, covered = touching_rows(make())
+    # A fresh system: the compile must not read the rows' cache.
+    ns = make()
+    cone = prune_redundant(compile_cone(ns))
+    targets = cone.target[cone.column_indices()]
+    touching = cone.matrix()[:, targets != DIAMOND_TARGET].T
+    assert rows.shape == touching.shape
+    assert rows.tobytes() == touching.tobytes()
+    assert covered == np.isin(np.arange(ns.count), targets).all()

@@ -4,15 +4,17 @@ import pytest
 
 from polygal import (Ball, ConstraintSpec, GalerkinProblem, GalerkinSequence,
                      InfeasibleLevel, NumericalFailure, ObjectiveSpec,
-                     PointHull, compile_cone, estimate_kappa, perimeter_2d,
-                     polygon_area, polytope_volume, project_coords,
-                     prune_redundant, realize, run_sequence, set_distance,
-                     shift_constraints, solve_level, spherical_grid_normals,
+                     PointHull, classify, compile_cone, estimate_kappa,
+                     perimeter_2d, polygon_area, polytope_volume,
+                     project_coords, prune_redundant, realize, run_sequence,
+                     set_distance, shift_constraints, solve_level,
+                     spherical_grid_normals, support_coordinates,
                      uniform_sphere_weights, validate_normals)
 from polygal import (cone as cone_module, lp as lp_module,
                      optimize as optimize_module)
-from polygal.coordinates import (facet_lengths_2d, facet_measures,
-                                 planar_forms, planar_touching_rows)
+from polygal.cone import DIAMOND_TARGET, touching_rows
+from polygal.coordinates import EXTERIOR, facet_lengths_2d, facet_measures
+from polygal.normals import planar_forms
 
 from conftest import (bounded_planar_systems, chebyshev_slack,
                       random_point_hull, regular_normals)
@@ -127,7 +129,8 @@ def test_level_result_feasibility_invariants():
     result = solve_level(problem, 0)
     ns = seq.levels[0]
     cone = prune_redundant(compile_cone(ns))
-    touching = cone.matrix(touching_only=True)
+    touching = cone.matrix()[:, cone.target[cone.column_indices()]
+                             != DIAMOND_TARGET]
     eps = 1e-6
     assert (touching.T @ result.b).min() >= -eps
     lower = project_coords(ORIGIN, ns).coords.b
@@ -258,9 +261,8 @@ def test_isoperimetric_level_reaches_lindelof(monkeypatch, level):
     # level compiles no cone: at level 7 (N = 256) it would take 1.9 GB.
     def refuse(*args, **kwargs):
         raise AssertionError("a planar level compiled a cone")
-    for module in (optimize_module, cone_module):
-        monkeypatch.setattr(module, "compile_cone", refuse)
-        monkeypatch.setattr(module, "prune_redundant", refuse)
+    monkeypatch.setattr(cone_module, "compile_cone", refuse)
+    monkeypatch.setattr(cone_module, "prune_redundant", refuse)
     seq = GalerkinSequence.from_grid(2, [level])
     result = solve_level(isoperimetric_problem(seq), 0)
     exact = lindelof_area(seq.levels[0], 2 * np.pi)
@@ -311,7 +313,7 @@ def tight_cap_rows(level):
     lower = project_coords(problem.inner_body, ns).coords.b
     upper = project_coords(problem.outer_body, ns).coords.b
     shifted = shift_constraints(problem.constraints, 0.0, 2.0)
-    G, h = optimize_module._level_rows(ns, planar_touching_rows(ns), shifted,
+    G, h = optimize_module._level_rows(ns, touching_rows(ns)[0], shifted,
                                        lower, upper)
     blend = (1.0 - problem.lam) * lower + problem.lam * 2.0
     return G, h, blend, 1.0 + np.abs(h).max()
@@ -358,10 +360,10 @@ def test_solver_paths_run_no_simplex(monkeypatch):
     assert solve_level(grid3, 0).kappa_hat > 0.0
 
 
-def test_grid3_volume_reaches_the_minkowski_optimum():
-    # d = 3 grid level 2 under the rotation that seed 1 draws for the
-    # grid3_opt benchmark.  At the optimum only the mean-width row is
-    # active, so the KKT conditions make every facet area equal.
+def grid3_opt_problem(report_kappa):
+    """d = 3 grid level 2 under the rotation that seed 1 draws for the
+    grid3_opt benchmark: max volume at mean width <= 4 pi between the
+    origin and Ball(0, 2)."""
     q, r = np.linalg.qr(np.random.default_rng([1, 0]).standard_normal((3, 3)))
     q = q * np.sign(np.diag(r))
     if np.linalg.det(q) < 0:
@@ -370,13 +372,19 @@ def test_grid3_volume_reaches_the_minkowski_optimum():
     ns = validate_normals(np.column_stack(
         [q[i, 0] * m[:, 0] + q[i, 1] * m[:, 1] + q[i, 2] * m[:, 2]
          for i in range(3)]))
-    problem = GalerkinProblem(
+    return GalerkinProblem(
         objective=ObjectiveSpec("neg_volume"),
         constraints=[ConstraintSpec("linear_support_le", limit=4 * np.pi,
                                     weights=uniform_sphere_weights(3, 26))],
         inner_body=PointHull([[0, 0, 0]]), outer_body=Ball([0, 0, 0], 2.0),
-        sequence=GalerkinSequence.from_systems([ns]), report_kappa=False)
-    result = solve_level(problem, 0)
+        sequence=GalerkinSequence.from_systems([ns]),
+        report_kappa=report_kappa)
+
+
+def test_grid3_volume_reaches_the_minkowski_optimum():
+    # At the optimum only the mean-width row is active, so the KKT
+    # conditions make every facet area equal.
+    result = solve_level(grid3_opt_problem(report_kappa=False), 0)
     areas = facet_measures(result.realization)
     assert polytope_volume(result.realization) >= 4.84335
     assert areas.max() - areas.min() <= 1e-8 * areas.mean()
@@ -388,3 +396,48 @@ def test_centering_that_does_not_converge_raises(monkeypatch):
     seq = GalerkinSequence.from_grid(2, [2])
     with pytest.raises(NumericalFailure):
         solve_level(isoperimetric_problem(seq), 0)
+
+
+def test_levels_enumerate_no_diamond_subset(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level enumerated the diamond subsets")
+    monkeypatch.setattr(cone_module, "_diamond_arrays", refuse)
+    planar = solve_level(
+        isoperimetric_problem(GalerkinSequence.from_grid(2, [4])), 0)
+    assert planar.gap <= 1e-10
+    grid3 = solve_level(grid3_opt_problem(report_kappa=True), 0)
+    assert grid3.gap <= 1e-10 and grid3.kappa_hat > 0.0
+
+
+# Facets whose neighbours are antipodal within the margin get no touching
+# row: every facet of the square (Lam_kk reads -1.2e-16), and facet 0 of a
+# system whose a_0 has neighbours pi - 1e-9 apart (Lam_00 = -1.4e-9).
+BELOW_MARGIN = ([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi],
+                [0.0, 4.0, 1.0, 2.0, 1.0 + np.pi + 1e-9])
+
+
+@pytest.mark.parametrize("angles", BELOW_MARGIN)
+@pytest.mark.parametrize("objective", ["neg_volume", "raise_facet_0"])
+def test_facets_below_the_margin_are_solved_safely(angles, objective):
+    ns = validate_normals(np.column_stack([np.cos(angles), np.sin(angles)]))
+    rows, covered = touching_rows(ns)
+    assert not covered and not (rows[:, 0] == -1.0).any()
+    if objective == "neg_volume":
+        spec = ObjectiveSpec("neg_volume")
+    else:
+        # Reward b_0 and penalize the rest: the dropped row is the only
+        # one that could hold b_0 below the outer box.
+        weights = np.ones(ns.count)
+        weights[0] = -1.0
+        spec = ObjectiveSpec("linear_support", weights=weights)
+    problem = GalerkinProblem(
+        objective=spec, constraints=[],
+        inner_body=PointHull([[0.3, 0.1], [-0.2, 0.4], [-0.1, -0.3]]),
+        outer_body=Ball([0.0, 0.0], 2.0),
+        sequence=GalerkinSequence.from_systems([ns]), report_kappa=False)
+    b = solve_level(problem, 0).b
+    cone = prune_redundant(compile_cone(ns))
+    assert not cone.pruned[cone.target == DIAMOND_TARGET].any()
+    assert classify(b, cone).classification != EXTERIOR
+    assert np.abs(support_coordinates(realize(b, cone)) - b).max() \
+        <= 1e-7 * (1.0 + np.abs(b).max())

@@ -3,9 +3,9 @@
 In d = 2 the compile passes the SVD kernel only the subsets that the signs
 of cross products admit, and the prune keeps each facet's angle-adjacent
 pair.  Both must reproduce, bit for bit, the enumeration over all subsets
-and the pairwise interval test.  The diamonds are pruned when every facet
-keeps a column (every Lam_kk < 0 on systems whose gaps stay below pi -
-0.05), and the pruned cone labels as the unpruned one does.
+and the pairwise interval test.  The diamonds are pruned when
+`touching_rows` reports every facet covered, and the pruned cone labels as
+the unpruned one does.
 """
 
 import numpy as np
@@ -15,10 +15,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from polygal import (DuplicateRow, UnboundedSpace, check_bounded, classify,
                      compile_cone, diagnose_boundary, prune_redundant,
                      validate_normals)
-from polygal.cone import (DIAMOND_TARGET, CompiledCone, _compile,
-                          _prune_group_generic)
-from polygal.coordinates import (EXTERIOR, classification_band, planar_forms,
-                                 planar_touching_rows)
+from polygal.cone import (DIAMOND_TARGET, TOUCHING_MARGIN, CompiledCone,
+                          _compile, _prune_group_generic, touching_rows)
+from polygal.coordinates import EXTERIOR, classification_band
 from polygal.lp import BOUNDED_MARGIN
 
 from conftest import (TRANSFORMS, bounded_planar_systems, regular_normals,
@@ -71,16 +70,14 @@ def assert_matches_oracle(ns):
     touching = fast.target != DIAMOND_TARGET
     kept = touching & ~pairwise_prune(oracle)
     assert np.array_equal(fast.pruned[touching], ~kept[touching])
-    # The diamonds go when every facet keeps a touching column.  That is
-    # every Lam_kk < 0 except where a_k's neighbours are antipodal within
-    # rounding: there Lam_kk may read negative while the facet has no
-    # column, and the diamonds stay.
-    covered = np.isin(np.arange(ns.count), oracle.target[kept]).all()
+    # The diamonds go iff `touching_rows` covers every facet, and only
+    # where every facet keeps a touching column.
+    covered = check_bounded(ns) and touching_rows(ns)[1]
     assert (fast.pruned[~touching] == covered).all()
+    if covered:
+        assert np.isin(np.arange(ns.count), oracle.target[kept]).all()
     oracle = prune_redundant(oracle)
-    for touching_only in (False, True):
-        assert (fast.matrix(touching_only=touching_only).tobytes()
-                == oracle.matrix(touching_only=touching_only).tobytes())
+    assert fast.matrix().tobytes() == oracle.matrix().tobytes()
     return fast
 
 
@@ -152,38 +149,67 @@ def test_unbounded_fans_still_raise(angles):
     assert not check_bounded(ns)
     with pytest.raises(UnboundedSpace):
         compile_cone(ns)
+    with pytest.raises(UnboundedSpace):
+        touching_rows(ns)
     assert_matches_oracle(ns)
 
 
-def triangle(angles):
+def planar(angles):
     return validate_normals(np.column_stack([np.cos(angles), np.sin(angles)]))
 
 
 @settings(max_examples=60, deadline=None)
-@given(bounded_planar_systems(max_level=5), st.integers(0, 2**32 - 1))
-@example(regular_normals(3), 0)
-@example(triangle([0.3, 2.0, 4.1]), 1)
-@example(triangle([0.0, 0.1, 3.2]), 2)
-def test_planar_touching_rows_are_the_pruned_touching_columns(ns, seed):
+@given(st.one_of(bounded_planar_systems(max_level=5), irregular_systems()),
+       st.integers(0, 2**32 - 1))
+@example(regular_normals(4), 0)
+@example(planar([0.0, 4.0, 1.0, 2.0, 1.0 + np.pi + 1e-9]), 1)
+@example(planar([0.0, 1e-4, 2.0, np.pi + 1e-4 + 1e-10]), 2)
+@example(regular_normals(3), 3)
+@example(planar([0.3, 2.0, 4.1]), 4)
+@example(planar([0.0, 0.1, 3.2]), 5)
+@example(validate_normals([[-0.9899925, 0.14112001], [0.0707372, 0.99749499],
+                           [0.54030231, 0.84147098], [-0.41614684, 0.90929743],
+                           [-0.54030231, -0.84147099],
+                           [-0.54030222, -0.84147104]]), 6)
+def test_touching_rows_are_the_one_row_and_coverage_predicate(ns, seed):
+    # The examples: the square (Lam_kk reads -1.2e-16), a facet whose
+    # neighbours lie pi - 1e-9 apart (Lam_00 = -1.4e-9), a facet with
+    # neighbours at +1e-4 and -(pi - 1e-4 - 1e-10) (Lam_00 = -1e-2, far
+    # above rounding yet below the margin), three triangles, and a facet
+    # whose row solves a pair of condition 3.7e8 (entries near 100).
+    assume(check_bounded(ns))
+    rows, covered = touching_rows(ns)
+    facets = np.argmin(rows, axis=1)
+    assert (rows[np.arange(facets.size), facets] == -1.0).all()
+    assert (np.diff(facets) > 0).all()
+    assert covered == (facets.size == ns.count)
+    assert (rows <= 1.0 / TOUCHING_MARGIN).all()
+    # Wherever facet k has a row, the pruned cone keeps the column on the
+    # angle-adjacent pair, and it is that row.  Both solve the pair's 2 x 2
+    # system for a_k to rounding, so they agree within 1e-11 relative, or
+    # within the solve's own error, about eps times its condition number,
+    # where irregular_systems puts the pair near parallel or antipodal.
     cone = prune_redundant(compile_cone(ns))
-    rows = planar_touching_rows(ns)
-    lam_diag = np.diag(planar_forms(ns)[0])
-    facets = np.flatnonzero(lam_diag < 0.0)
-    # With every gap below pi - 0.05, the diamonds are pruned exactly when
-    # every Lam_kk < 0.
-    assert (cone.pruned[cone.target == DIAMOND_TARGET]
-            == (lam_diag < 0.0).all()).all()
-    # One surviving touching column per facet with Lam_kk < 0, and only
-    # those facets have one.
-    columns = cone.matrix(touching_only=True)
-    targets = cone.target[cone.column_indices(touching_only=True)]
-    assert np.array_equal(targets, facets)
-    assert rows.shape == (facets.size, ns.count)
-    for row, column in zip(rows, columns.T):
-        assert np.abs(row - column).max() <= 1e-11 * np.abs(column).max()
-    # The rows' band label is classify's, except where only diamond
-    # columns, which the inner box implies in a solve, are negative.
-    diamond = cone.target[cone.column_indices()] == DIAMOND_TARGET
+    order = np.argsort(ns.angles())
+    adjacent = {k: sorted({i, j}) for k, i, j in
+                zip(order, np.roll(order, 1), np.roll(order, -1))}
+    matrix = cone.matrix()
+    targets = cone.target[cone.column_indices()]
+    for k, row in zip(facets, rows):
+        (column,) = matrix[:, targets == k].T
+        pair = adjacent[k]
+        assert list(np.flatnonzero(column > 0)) == pair
+        gens = ns.matrix[pair]
+        for vec in (row, column):
+            assert np.abs(vec[pair] @ gens - ns.matrix[k]).max() \
+                <= 1e-13 * np.abs(vec).max()
+        tol = max(1e-11, 1e-15 * np.linalg.cond(gens))
+        assert np.abs(row - column).max() <= tol * np.abs(column).max()
+    assert (cone.pruned[cone.target == DIAMOND_TARGET] == covered).all()
+    # The rows' band label is classify's, except where only columns the
+    # rows leave out are negative: diamonds, which the inner box implies in
+    # a solve, and the columns of facets without a row.
+    left_out = ~np.isin(targets, facets)
     rng = np.random.default_rng(seed)
     for _ in range(20):
         b = (ns.matrix @ rng.uniform(-0.5, 0.5, 2) + rng.uniform(0.5, 1.5)
@@ -191,12 +217,11 @@ def test_planar_touching_rows_are_the_pruned_touching_columns(ns, seed):
              * rng.uniform(-1.0, 1.0, ns.count))
         band = classification_band(b)
         exterior = bool((rows @ b < -band).any())
-        negative = cone.matrix().T @ b < -band
         if classify(b, cone).classification != EXTERIOR:
             assert not exterior
         elif not exterior:
-            assert (lam_diag >= 0.0).any()
-            assert diamond[negative].all()
+            assert not covered
+            assert left_out[matrix.T @ b < -band].all()
 
 
 def probe_coordinates(ns, rng):
@@ -218,7 +243,7 @@ def probe_coordinates(ns, rng):
        st.integers(0, 2**32 - 1))
 @example(regular_normals(4), 0)
 @example(regular_normals(6), 1)
-@example(triangle([0.0, 0.1, 3.2]), 2)
+@example(planar([0.0, 0.1, 3.2]), 2)
 @example(validate_normals(np.column_stack(
     [np.cos([0.0, 4.0, 1.0, 2.0, 1.0 + np.pi + 1e-9]),
      np.sin([0.0, 4.0, 1.0, 2.0, 1.0 + np.pi + 1e-9])])), 3)

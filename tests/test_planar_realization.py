@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from polygal import (canonicalize, compile_cone, perimeter_2d, polygon_area,
                      realize, spherical_grid_normals, validate_normals)
 from polygal.coordinates import (_realize_generic, _realize_planar,
-                                 facet_lengths_2d, planar_forms)
+                                 facet_lengths_2d)
+from polygal.normals import planar_forms
 
 from conftest import (TRANSFORMS, assert_realization_matches_oracle,
                       exhaustive_vertices, regular_normals, transformed_grid)

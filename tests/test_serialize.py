@@ -6,8 +6,28 @@ import pytest
 from polygal import (Ball, MinkowskiSum, PointHull, Scaled, compile_cone,
                      prune_redundant, realize, spherical_grid_normals)
 from polygal import serialize
+from polygal.cone import DIAMOND
 
 from conftest import regular_normals
+
+
+def schema_1_cone_obj(cone):
+    """The cone.json object a schema-1 writer made: one object per column
+    with its dense vector."""
+    matrix = cone.matrix(include_pruned=True)
+    columns = []
+    for j in range(cone.count):
+        vertex = cone.vertex(j)
+        columns.append({
+            "vector": matrix[:, j],
+            "target": (DIAMOND if vertex.target == DIAMOND
+                       else {"touching": vertex.target}),
+            "support": list(vertex.support),
+            "weights": list(vertex.weights),
+            "pruned": bool(cone.pruned[j])})
+    return {"schema_version": 1,
+            "normals": serialize.normals_to_obj(cone.normal_system),
+            "columns": columns}
 
 
 def test_float_formatting_is_round_trip_stable():
@@ -37,11 +57,13 @@ def test_cone_round_trip(octagon_cone, tmp_path):
     path = tmp_path / "cone.json"
     serialize.write_json(path, serialize.cone_to_obj(pruned))
     loaded = serialize.cone_from_obj(serialize.read_json(path))
+    assert serialize.read_json(path)["schema_version"] == 2
     assert loaded.count == pruned.count
     assert loaded.pruned_count == pruned.pruned_count
-    for a, b in zip(loaded.columns, pruned.columns):
-        assert a.vertex == b.vertex
-        assert np.allclose(a.vector, b.vector, atol=0)
+    for j in range(pruned.count):
+        assert loaded.vertex(j) == pruned.vertex(j)
+    assert (loaded.matrix(include_pruned=True).tobytes()
+            == pruned.matrix(include_pruned=True).tobytes())
     # Byte-identical re-serialization.
     assert serialize.dumps(serialize.cone_to_obj(loaded)) == \
         serialize.dumps(serialize.cone_to_obj(pruned))
@@ -66,14 +88,45 @@ def test_array_cone_round_trip(space, tmp_path):
 
 def test_cone_load_rejects_inconsistent_columns(hexagon_cone):
     obj = json.loads(serialize.dumps(serialize.cone_to_obj(hexagon_cone)))
+    tampers = [("support", lambda t: t[-1].__setitem__(0, 6)),
+               ("support", lambda t: t[0].__setitem__(0, -1)),
+               ("support", lambda t: t[0].pop()),
+               ("target", lambda t: t.__setitem__(0, -2)),
+               ("target", lambda t: t.__setitem__(-1, 6)),
+               ("target", lambda t: t.pop()),
+               ("weights", lambda t: t[-1].__setitem__(-1, 1.0)),
+               ("pruned", lambda t: t.append(False))]
+    for key, tamper in tampers:
+        tampered = json.loads(json.dumps(obj))
+        tamper(tampered[key])
+        with pytest.raises(ValueError):
+            serialize.cone_from_obj(tampered)
+    obj = json.loads(serialize.dumps(schema_1_cone_obj(hexagon_cone)))
     tampered = json.loads(json.dumps(obj))
     tampered["columns"][0]["vector"][0] += 1.0
     with pytest.raises(ValueError):
         serialize.cone_from_obj(tampered)
-    tampered = json.loads(json.dumps(obj))
-    tampered["columns"][-1]["support"][0] = 6
+    for bad in (6, -1):
+        tampered = json.loads(json.dumps(obj))
+        tampered["columns"][-1]["support"][-1] = bad
+        with pytest.raises(ValueError):
+            serialize.cone_from_obj(tampered)
     with pytest.raises(ValueError):
-        serialize.cone_from_obj(tampered)
+        serialize.cone_from_obj({**obj, "schema_version": 3})
+
+
+@pytest.mark.parametrize("space", ["hexagon", "grid3_level2"])
+def test_cone_reads_schema_1(space):
+    ns = (regular_normals(6) if space == "hexagon"
+          else spherical_grid_normals(3, 2))
+    cone = prune_redundant(compile_cone(ns))
+    obj = json.loads(serialize.dumps(schema_1_cone_obj(cone)))
+    loaded = serialize.cone_from_obj(obj)
+    for key in ("target", "support", "weights", "pruned"):
+        assert (getattr(loaded, key).tobytes()
+                == getattr(cone, key).tobytes())
+    assert serialize.dumps(serialize.cone_to_obj(loaded)) == \
+        serialize.dumps(serialize.cone_to_obj(cone))
 
 
 def test_polytope_and_coords_objects(square_cone):
