@@ -26,13 +26,9 @@ def _config_echo(args, command):
 
 
 def _with_config(obj, config):
-    out = {"schema_version": obj.get("schema_version",
-                                     serialize.SCHEMA_VERSION),
-           "config": config}
-    for key, value in obj.items():
-        if key != "schema_version":
-            out[key] = value
-    return out
+    # obj's own schema_version, if any, overrides the default, kept first.
+    return {"schema_version": serialize.SCHEMA_VERSION, "config": config,
+            **obj}
 
 
 def _emit(args, obj, out_path, summary):

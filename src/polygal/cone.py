@@ -433,7 +433,8 @@ def touching_rows(ns: NormalSystem):
     beta).  Facet k has a row iff Lam_kk <= -mu max_{j != k} Lam_kj, mu =
     TOUCHING_MARGIN.  Below it the neighbours are antipodal within about
     mu, and the condition left out is implied by the boxes of a solve
-    whose inner body holds a disc of radius mu times the outer diameter.
+    whose inner body holds a disc of radius mu times the outer diameter
+    (elsewhere `optimize.solve_level` may raise ExteriorCoordinates).
     In d = 3 the rows are the touching columns of
     `prune_redundant(compile_cone(ns))`, bitwise and in order, from the
     same code without the diamonds, under the compile's size guard.  An

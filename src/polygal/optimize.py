@@ -7,9 +7,9 @@ shifted functional constraints, each a linear row in coordinates (in d = 2
 the perimeter is w . b, `normals.planar_forms`).  Every objective is convex
 on the cone, so each level is solved by one damped Newton barrier path
 from one start, to within a duality gap m / t that the result reports.
-The result is checked against the classification band on the touching rows
-and realized by `coordinates._realize_admissible`, as is each d = 3 iterate
-of the volume; the level holds no cone.
+The result is realized by `coordinates._realize_admissible`, as is each
+d = 3 iterate of the volume, and must be its realization's support vector
+within the classification band; the level holds no cone.
 """
 
 from dataclasses import dataclass, field
@@ -22,7 +22,7 @@ from .cone import touching_rows
 from .coordinates import (PolytopeRealization, _realize_admissible,
                           classification_band, facet_area_jacobian,
                           facet_lengths_2d, hausdorff_polytopes,
-                          polytope_volume)
+                          polytope_volume, support_coordinates)
 from .errors import ExteriorCoordinates, InfeasibleLevel, NumericalFailure
 from .galerkin import GalerkinSequence, estimate_kappa
 from .normals import planar_forms
@@ -463,9 +463,10 @@ def solve_level(problem: GalerkinProblem, level: int) -> LevelResult:
     if (G @ b - h).min() < -problem.tolerances.feas_eps * scale:
         raise NumericalFailure("solver returned an infeasible point")
 
-    if (touching @ b < -classification_band(b)).any():
-        raise ExteriorCoordinates("coordinates lie outside the cone")
+    # Unlike the rows, this also checks facets that have no touching row.
     realization = _realize_admissible(ns, b)
+    if (b - support_coordinates(realization)).max() > classification_band(b):
+        raise ExteriorCoordinates("coordinates lie outside the cone")
     constraint_values = (np.concatenate(
         [sc.values(b, realization) for sc in shifted])
         if shifted else np.zeros(0))

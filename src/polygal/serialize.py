@@ -141,16 +141,18 @@ def _cone_from_v1(ns: NormalSystem, columns) -> CompiledCone:
 def _cone_from_v2(ns: NormalSystem, obj) -> CompiledCone:
     """Schema 2, checked: targets are -1 or rows, supports nonempty runs
     of rows padded with -1, weights finite and 0 in the padding."""
-    count, width = len(obj["target"]), ns.dimension + 1
+    count, width = np.size(obj["target"]), ns.dimension + 1
     arrays = []
     for key, dtype, shape in (("target", np.intp, (count,)),
                               ("support", np.intp, (count, width)),
                               ("weights", float, (count, width)),
                               ("pruned", bool, (count,))):
-        arr = np.asarray(obj[key], dtype=dtype)
+        raw = np.asarray(obj[key])
+        arr = raw.astype(dtype) if raw.dtype.kind in "biuf" else raw
         # An empty cone writes its 2-d arrays as [].
-        if arr.shape != shape and (count or arr.size):
-            raise ValueError(f"cone: {key} does not have shape {shape}")
+        if arr.shape != shape and (count or arr.size) \
+                or arr.dtype != dtype or (arr != raw).any():
+            raise ValueError(f"cone: {key} is not {np.dtype(dtype)}, {shape}")
         arrays.append(arr.reshape(shape))
     target, support, weights, _ = arrays
     used = support >= 0

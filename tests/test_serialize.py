@@ -95,7 +95,11 @@ def test_cone_load_rejects_inconsistent_columns(hexagon_cone):
                ("target", lambda t: t.__setitem__(-1, 6)),
                ("target", lambda t: t.pop()),
                ("weights", lambda t: t[-1].__setitem__(-1, 1.0)),
-               ("pruned", lambda t: t.append(False))]
+               ("pruned", lambda t: t.append(False)),
+               # Values an integer or bool cast would change, and a null.
+               ("support", lambda t: t[0].__setitem__(0, t[0][0] + 0.5)),
+               ("target", lambda t: t.__setitem__(0, None)),
+               ("pruned", lambda t: t.__setitem__(0, 2))]
     for key, tamper in tampers:
         tampered = json.loads(json.dumps(obj))
         tamper(tampered[key])
